@@ -4,21 +4,19 @@ from .blackscholes import call_price, put_price
 from .fixpoint import (BatchSolution, ConvergenceError, FixedPointConfig,
                        FixedPointSolution, eval_g, solvency, solve_claims,
                        solve_claims_batch)
-from .gbm import (GbmParams, TerminalDraw, TerminalPartials, cholesky_factor,
-                  normal_variates, sample_terminal, terminal_partials)
+from .gbm import (GbmParams, cholesky_factor, normal_variates, sample_terminal,
+                  terminal_partials)
 from .local import (LocalValuationState, independent_default_delta,
                     local_delta, local_fixed_point, marginal_contagion)
-from .mc import GreekReport, PriceResult, delta_total, mc_greeks, price_claims
-from .netgen import EnsembleSpec, SinkhornError, er_ensemble, er_network, sinkhorn_balance
+from .mc import GreekReport, PriceResult, mc_greeks, price_claims
+from .netgen import SinkhornError, er_network, sinkhorn_balance
 from .network import (ClaimVector, FirmNetwork, NetworkError, SolvencyVector,
                       ValidationReport, firm_value, load_network, outside_value,
                       save_network, symmetric_network, validate_network)
 from .sensitivity import (ClaimsJacobian, SensitivityError, aggregate_impact,
-                          claims_sensitivity, jacobian_g, outside_sensitivity,
-                          threat_index, weighting_matrix)
+                          claims_sensitivity, outside_sensitivity, threat_index)
 from .symmetric import (SymmetricGreeks, SymmetricParams, d_plus_minus,
-                        delta_rho_conditional, symmetric_expost, symmetric_greeks,
-                        symmetric_mc_inputs, symmetric_pi, symmetric_price,
-                        symmetric_price_bs)
+                        symmetric_expost, symmetric_greeks, symmetric_mc_inputs,
+                        symmetric_pi, symmetric_price)
 
 __version__ = "0.1.0"

@@ -19,10 +19,10 @@ from pathlib import Path
 import numpy as np
 
 from .fixpoint import FixedPointConfig, solve_claims_batch
-from .gbm import GbmParams, normal_variates
+from .gbm import GbmParams, cholesky_factor, normal_variates, sample_terminal
 from .local import independent_default_delta, local_delta, local_fixed_point, marginal_contagion
-from .mc import mc_greeks, price_claims
-from .netgen import er_network, member_seed
+from .mc import _chunk_size, _RunningStat, _tree_merge, mc_greeks, price_claims
+from .netgen import er_network
 from .network import FirmNetwork, load_network, validate_network
 from .sensitivity import dxda_batch
 from .symmetric import (SymmetricParams, symmetric_expost, symmetric_greeks,
@@ -160,6 +160,8 @@ class ExperimentConfig:
             raise ConfigError("draws must be at least 2")
         if cfg.threads < 1:
             raise ConfigError("threads must be at least 1")
+        if cfg.networks < 1:
+            raise ConfigError("networks must be at least 1")
         return cfg
 
     @classmethod
@@ -235,15 +237,14 @@ def run_two_firm(cfg: ExperimentConfig, out=None) -> list[list]:
     generated by the cross-holdings alone.
     """
     w_d = cfg.w_d[0]
-    a0 = cfg.a0[0]
-    sigma = cfg.sigma[0]
     m_d = np.array([[0.0, w_d], [w_d, 0.0]])
     net = FirmNetwork(m_s=np.zeros((2, 2)), m_d=m_d, d=np.full(2, cfg.d))
-    gbm = GbmParams(a_t=np.full(2, a0), sigma=np.full(2, sigma), r=cfg.r,
-                    tau=cfg.tau, corr=np.eye(2))
-    z = normal_variates(cfg.seed, cfg.draws, 2)
-    drift = (cfg.r - 0.5 * sigma**2) * cfg.tau
-    a_T = a0 * np.exp(drift + np.sqrt(cfg.tau) * sigma * z)
+    try:
+        gbm = GbmParams(a_t=np.full(2, cfg.a0[0]), sigma=np.full(2, cfg.sigma[0]),
+                        r=cfg.r, tau=cfg.tau, corr=np.eye(2))
+    except ValueError as exc:
+        raise ConfigError(f"bad asset model: {exc}") from exc
+    a_T = sample_terminal(gbm, normal_variates(cfg.seed, cfg.draws, 2))
     sol = solve_claims_batch(net, a_T, cfg.fixed_point_config())
     rows = [[i, cfg.seed, a_T[i, 0], a_T[i, 1], sol.v[i, 0], sol.v[i, 1],
              int(sol.xi[i, 0]), int(sol.xi[i, 1])] for i in range(cfg.draws)]
@@ -412,23 +413,20 @@ def run_local_compare(cfg: ExperimentConfig, out=None) -> list[list]:
     gbm = _gbm_from_config(cfg, net)
     fp_cfg = cfg.fixed_point_config()
 
-    chunk = max(128, 2_097_152 // max(1, n * n))
-    total = np.zeros((n, n))
-    total_sq = np.zeros((n, n))
+    L = cholesky_factor(gbm.corr)
+    size = _chunk_size(n)
+    stats = []
     solvent = np.zeros(n)
-    drift = (cfg.r - 0.5 * gbm.sigma**2) * cfg.tau
-    for start in range(0, cfg.draws, chunk):
-        count = min(chunk, cfg.draws - start)
-        z = normal_variates(cfg.seed, count, n, start=start)
-        a_T = gbm.a_t * np.exp(drift + np.sqrt(cfg.tau) * gbm.sigma * z)
-        sol = solve_claims_batch(net, a_T, fp_cfg)
-        u_d = dxda_batch(net, sol.xi)[:, n:, :]
-        total += u_d.sum(axis=0)
-        total_sq += np.square(u_d).sum(axis=0)
+    for start in range(0, cfg.draws, size):
+        z = normal_variates(cfg.seed, min(size, cfg.draws - start), n, start=start)
+        sol = solve_claims_batch(net, sample_terminal(gbm, z, L), fp_cfg)
+        stats.append(_RunningStat.from_samples(dxda_batch(net, sol.xi)[:, n:, :]))
         solvent += sol.xi.sum(axis=0)
-    exact = total / cfg.draws
-    var = np.maximum(total_sq / cfg.draws - np.square(exact), 0.0)
-    exact_se = np.sqrt(var / cfg.draws)
+    u_d = _tree_merge(stats)
+    exact = u_d.mean
+    # exact_se keeps the population divisor m2 / N of the golden
+    # out/local_compare.csv; _RunningStat.se divides by N - 1
+    exact_se = np.sqrt(u_d.m2 / cfg.draws) / np.sqrt(cfg.draws)
     pd = 1.0 - solvent / cfg.draws
 
     indep = independent_default_delta(net, pd)

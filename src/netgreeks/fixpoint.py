@@ -64,7 +64,6 @@ class FixedPointSolution:
     xi: SolvencyVector
     iterations: int
     residual: float
-    residual_history: tuple[float, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -86,10 +85,10 @@ def eval_g(net: FirmNetwork, a, claims: ClaimVector) -> ClaimVector:
     return ClaimVector(s=np.maximum(0.0, v - net.d), r=np.minimum(net.d, v))
 
 
-def _picard(net, a, cfg, s0, r0, record):
-    """Shared iteration core over (B, n) arrays.
+def _picard(net, a, cfg, s0, r0):
+    """Iteration core over (B, n) arrays.
 
-    Returns (s, r, v, xi, iterations, residuals, history).  The returned
+    Returns (s, r, v, xi, iterations, residuals).  The returned
     claims are the iterate at which the residual ||g(x) - x|| was measured,
     so the post-condition ||x - g(a, x)||_inf <= tol holds exactly.
     """
@@ -97,17 +96,14 @@ def _picard(net, a, cfg, s0, r0, record):
     ms_t = net.m_s.T
     md_t = net.m_d.T
     s, r = s0, r0
-    history = [] if record else None
     for it in range(1, cfg.max_iter + 1):
         v = a + s @ ms_t + r @ md_t
         s_new = np.maximum(0.0, v - d)
         r_new = np.minimum(d, v)
         resid = np.maximum(np.abs(s_new - s), np.abs(r_new - r)).max(axis=1)
-        if record:
-            history.append(float(resid.max()))
         if resid.max() <= cfg.tol:
             xi = (v > d).astype(float)
-            return s, r, v, xi, it, resid, history
+            return s, r, v, xi, it, resid
         s, r = s_new, r_new
     worst = int(np.argmax(resid))
     raise ConvergenceError(
@@ -134,32 +130,22 @@ def solve_claims_batch(net: FirmNetwork, a, cfg: FixedPointConfig = DEFAULT_CONF
     else:
         s0 = np.array(np.broadcast_to(x0[0], a.shape), dtype=float)
         r0 = np.array(np.broadcast_to(x0[1], a.shape), dtype=float)
-    s, r, v, xi, it, resid, _ = _picard(net, a, cfg, s0, r0, record=False)
+    s, r, v, xi, it, resid = _picard(net, a, cfg, s0, r0)
     return BatchSolution(s=s, r=r, v=v, xi=xi, iterations=it, residuals=resid)
 
 
 def solve_claims(net: FirmNetwork, a, cfg: FixedPointConfig = DEFAULT_CONFIG,
-                 x0: ClaimVector | None = None,
-                 record_residuals: bool = False) -> FixedPointSolution:
+                 x0: ClaimVector | None = None) -> FixedPointSolution:
     """Solve the valuation fixed point for one asset vector a > 0."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
-    if a.shape != (1, net.n):
-        raise ValueError(f"expected asset vector of length {net.n}, got shape {a.shape[1:]}")
-    if np.any(a <= 0.0):
-        raise ValueError("external asset values must be strictly positive")
-    if x0 is None:
-        s0 = np.zeros_like(a)
-        r0 = np.minimum(net.d, a)
-    else:
-        s0 = x0.s[None, :].copy()
-        r0 = x0.r[None, :].copy()
-    s, r, v, xi, it, resid, history = _picard(net, a, cfg, s0, r0, record=record_residuals)
+    if a.shape[0] != 1:
+        raise ValueError(f"expected one asset vector, got {a.shape[0]} rows")
+    sol = solve_claims_batch(net, a, cfg, x0=None if x0 is None else (x0.s, x0.r))
     return FixedPointSolution(
-        claims=ClaimVector(s=s[0], r=r[0]),
-        xi=SolvencyVector(xi[0]),
-        iterations=it,
-        residual=float(resid[0]),
-        residual_history=tuple(history) if record_residuals else None,
+        claims=ClaimVector(s=sol.s[0], r=sol.r[0]),
+        xi=SolvencyVector(sol.xi[0]),
+        iterations=sol.iterations,
+        residual=float(sol.residuals[0]),
     )
 
 

@@ -20,8 +20,6 @@ from scipy.special import ndtri
 
 __all__ = [
     "GbmParams",
-    "TerminalDraw",
-    "TerminalPartials",
     "cholesky_factor",
     "normal_variates",
     "sample_terminal",
@@ -50,6 +48,9 @@ class GbmParams:
         sigma = _frozen(np.atleast_1d(self.sigma))
         corr = _frozen(self.corr)
         n = a_t.shape[0]
+        if not (np.all(np.isfinite(a_t)) and np.all(np.isfinite(sigma))
+                and np.isfinite(self.r) and np.isfinite(self.tau)):
+            raise ValueError("a_t, sigma, r and tau must be finite")
         if sigma.shape != (n,) or corr.shape != (n, n):
             raise ValueError(f"inconsistent shapes: a_t {a_t.shape}, sigma {sigma.shape}, corr {corr.shape}")
         if np.any(a_t <= 0.0):
@@ -74,24 +75,6 @@ class GbmParams:
     @property
     def n(self) -> int:
         return self.a_t.shape[0]
-
-
-@dataclass(frozen=True)
-class TerminalDraw:
-    """Raw normals z and the terminal asset values they map to."""
-
-    z: np.ndarray
-    a_T: np.ndarray
-
-
-@dataclass(frozen=True)
-class TerminalPartials:
-    """Pathwise partials of A_T, each shaped like a_T."""
-
-    da_t: np.ndarray      # dA_T / da_t^i, per asset
-    dsigma: np.ndarray    # dA_T / dsigma_i, per asset
-    dr: np.ndarray        # dA_T / dr
-    dtau: np.ndarray      # dA_T / dtau
 
 
 def cholesky_factor(corr: np.ndarray, jitter: float = 1e-12) -> np.ndarray:
@@ -134,34 +117,30 @@ def normal_variates(seed: int, count: int, n: int, start: int = 0) -> np.ndarray
 
 
 def sample_terminal(params: GbmParams, z: np.ndarray,
-                    L: np.ndarray | None = None) -> TerminalDraw:
-    """Map standard normals z (..., n) to terminal asset values."""
-    z = np.asarray(z, dtype=float)
+                    L: np.ndarray | None = None) -> np.ndarray:
+    """Map standard normals z (..., n) to terminal asset values A_T."""
     if L is None:
         L = cholesky_factor(params.corr)
-    y = z @ L.T
+    y = np.asarray(z, dtype=float) @ L.T
     drift = (params.r - 0.5 * params.sigma**2) * params.tau
-    a_T = params.a_t * np.exp(drift + np.sqrt(params.tau) * params.sigma * y)
-    return TerminalDraw(z=z, a_T=a_T)
+    return params.a_t * np.exp(drift + np.sqrt(params.tau) * params.sigma * y)
 
 
-def terminal_partials(params: GbmParams, draw: TerminalDraw,
-                      L: np.ndarray | None = None) -> TerminalPartials:
-    """Pathwise derivatives of A_T in spot, volatility, rate and horizon.
+def terminal_partials(params: GbmParams, z: np.ndarray, a_T: np.ndarray,
+                      L: np.ndarray | None = None):
+    """Pathwise derivatives (da_t, dsigma, dr, dtau) of A_T, each shaped like a_T.
 
-    All four differentiate the sampling map at fixed z, which is the
-    correct coupling for pathwise Greek estimators.
+    da_t and dsigma are per asset (dA_T^i / da_t^i, dA_T^i / dsigma_i); all
+    four differentiate the sampling map at fixed z, which is the correct
+    coupling for pathwise Greek estimators.
     """
     if L is None:
         L = cholesky_factor(params.corr)
-    y = draw.z @ L.T
+    y = np.asarray(z, dtype=float) @ L.T
     sig = params.sigma
     tau = params.tau
     sqrt_tau = np.sqrt(tau)
-    a_T = draw.a_T
-    return TerminalPartials(
-        da_t=a_T / params.a_t,
-        dsigma=a_T * (-sig * tau + sqrt_tau * y),
-        dr=a_T * tau,
-        dtau=a_T * (params.r - 0.5 * sig**2 + sig * y / (2.0 * sqrt_tau)),
-    )
+    return (a_T / params.a_t,
+            a_T * (-sig * tau + sqrt_tau * y),
+            a_T * tau,
+            a_T * (params.r - 0.5 * sig**2 + sig * y / (2.0 * sqrt_tau)))

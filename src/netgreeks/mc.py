@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .fixpoint import DEFAULT_CONFIG, ConvergenceError, FixedPointConfig, solve_claims_batch
-from .gbm import GbmParams, cholesky_factor, normal_variates
+from .gbm import GbmParams, cholesky_factor, normal_variates, sample_terminal, terminal_partials
 from .network import FirmNetwork
 from .sensitivity import dxda_batch
 
@@ -33,7 +33,6 @@ __all__ = [
     "GreekReport",
     "price_claims",
     "mc_greeks",
-    "delta_total",
 ]
 
 MC_CHUNK = 8192
@@ -161,11 +160,7 @@ class GreekReport:
 
 def _mc_chunk(net, gbm, L, cfg, seed, start, count, boundary_rel, want_greeks):
     z = normal_variates(seed, count, gbm.n, start=start)
-    y = z @ L.T
-    sig = gbm.sigma
-    tau = gbm.tau
-    sqrt_tau = np.sqrt(tau)
-    a_T = gbm.a_t * np.exp((gbm.r - 0.5 * sig**2) * tau + sqrt_tau * sig * y)
+    a_T = sample_terminal(gbm, z, L)
     try:
         sol = solve_claims_batch(net, a_T, cfg)
     except ConvergenceError as exc:
@@ -175,16 +170,13 @@ def _mc_chunk(net, gbm, L, cfg, seed, start, count, boundary_rel, want_greeks):
             iterations=exc.iterations, draw=start + (exc.draw or 0),
         ) from exc
     x = np.hstack([sol.s, sol.r])
-    disc = np.exp(-gbm.r * tau)
+    disc = np.exp(-gbm.r * gbm.tau)
     boundary = int(np.any(np.abs(sol.v - net.d) <= boundary_rel * net.d, axis=1).sum())
 
     out = {"price": disc * x, "solvent": sol.xi}
     if want_greeks:
         dxda = dxda_batch(net, sol.xi)
-        da_t = a_T / gbm.a_t
-        dsigma = a_T * (-sig * tau + sqrt_tau * y)
-        dr = a_T * tau
-        dtau = a_T * (gbm.r - 0.5 * sig**2 + sig * y / (2.0 * sqrt_tau))
+        da_t, dsigma, dr, dtau = terminal_partials(gbm, z, a_T, L)
         delta = disc * dxda * da_t[:, None, :]
         vega = disc * dxda * dsigma[:, None, :]
         out["delta"] = delta
@@ -194,7 +186,7 @@ def _mc_chunk(net, gbm, L, cfg, seed, start, count, boundary_rel, want_greeks):
         out["vega_uniform"] = vega.sum(axis=2)
         # rho and theta carry the discount-factor derivative alongside the
         # pathwise term; theta is quoted as -d(price)/d(tau)
-        out["rho"] = disc * (-tau * x + np.einsum("bkj,bj->bk", dxda, dr))
+        out["rho"] = disc * (-gbm.tau * x + np.einsum("bkj,bj->bk", dxda, dr))
         out["theta"] = -disc * (-gbm.r * x + np.einsum("bkj,bj->bk", dxda, dtau))
         out["pi"] = dxda.sum(axis=1)
     return {name: _RunningStat.from_samples(arr) for name, arr in out.items()}, boundary
@@ -262,8 +254,3 @@ def mc_greeks(net: FirmNetwork, gbm: GbmParams, draws: int, seed: int,
         default_prob=1.0 - solvent.mean, default_prob_se=solvent.se,
         boundary_hits=boundary,
     )
-
-
-def delta_total(report: GreekReport) -> np.ndarray:
-    """Aggregate market-value delta 1' Delta per firm (column sums)."""
-    return report.delta.sum(axis=0)

@@ -10,60 +10,19 @@ sums (holder-side concentration) match w_d as well.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .network import FirmNetwork
 
 __all__ = [
-    "EnsembleSpec",
     "SinkhornError",
     "er_network",
-    "er_ensemble",
     "sinkhorn_balance",
-    "member_seed",
 ]
 
 
 class SinkhornError(RuntimeError):
     """Row/column balancing failed for the given support pattern."""
-
-
-@dataclass(frozen=True)
-class EnsembleSpec:
-    """Ensemble of independent random debt networks."""
-
-    n: int
-    k_mean: float
-    w_d: float
-    networks: int
-    seed: int
-    d: float = 1.0
-    sinkhorn: bool = False
-
-    def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("need at least two firms")
-        if not 0.0 <= self.w_d < 1.0:
-            raise ValueError("w_d must lie in [0, 1)")
-        p = self.k_mean / (self.n - 1)
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"k_mean {self.k_mean} gives edge probability {p} outside [0, 1]")
-        if self.networks < 1:
-            raise ValueError("need at least one network")
-        if not self.d > 0.0:
-            raise ValueError("debt must be strictly positive")
-
-    @property
-    def edge_prob(self) -> float:
-        return self.k_mean / (self.n - 1)
-
-
-def member_seed(base_seed: int, index: int) -> int:
-    """Derived seed for ensemble member `index`; stable across runs."""
-    seq = np.random.SeedSequence(entropy=base_seed, spawn_key=(index,))
-    return int(seq.generate_state(1, np.uint64)[0])
 
 
 def _column_scaled(adj: np.ndarray, w_d: float) -> np.ndarray:
@@ -109,11 +68,18 @@ def er_network(n: int, k_mean: float, w_d: float, seed: int, d: float = 1.0,
     With sinkhorn=True, adjacency patterns whose balancing fails are
     resampled (fresh edges, same stream) up to max_resamples times.
     """
-    spec = EnsembleSpec(n=n, k_mean=k_mean, w_d=w_d, networks=1, seed=seed,
-                        d=d, sinkhorn=sinkhorn)
+    if n < 2:
+        raise ValueError("need at least two firms")
+    if not 0.0 <= w_d < 1.0:
+        raise ValueError("w_d must lie in [0, 1)")
+    p = k_mean / (n - 1)
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"k_mean {k_mean} gives edge probability {p} outside [0, 1]")
+    if not d > 0.0:
+        raise ValueError("debt must be strictly positive")
     rng = np.random.default_rng(seed)
     for _ in range(max_resamples):
-        adj = rng.random((n, n)) < spec.edge_prob
+        adj = rng.random((n, n)) < p
         np.fill_diagonal(adj, False)
         m_d = _column_scaled(adj, w_d)
         if sinkhorn and adj.any():
@@ -123,21 +89,3 @@ def er_network(n: int, k_mean: float, w_d: float, seed: int, d: float = 1.0,
                 continue
         return FirmNetwork(m_s=np.zeros((n, n)), m_d=m_d, d=np.full(n, d))
     raise SinkhornError(f"no balanceable adjacency pattern in {max_resamples} resamples")
-
-
-def er_ensemble(spec: EnsembleSpec):
-    """All ensemble members plus a manifest of derived member seeds."""
-    seeds = [member_seed(spec.seed, i) for i in range(spec.networks)]
-    nets = [er_network(spec.n, spec.k_mean, spec.w_d, seed=s, d=spec.d,
-                       sinkhorn=spec.sinkhorn) for s in seeds]
-    manifest = {
-        "n": spec.n,
-        "k_mean": spec.k_mean,
-        "w_d": spec.w_d,
-        "networks": spec.networks,
-        "seed": spec.seed,
-        "d": spec.d,
-        "sinkhorn": spec.sinkhorn,
-        "member_seeds": seeds,
-    }
-    return nets, manifest

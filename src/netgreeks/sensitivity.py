@@ -1,21 +1,25 @@
 """Exact sensitivities of the valuation fixed point via implicit differentiation.
 
-Away from the default boundary the fixed point x* = (s; r) is piecewise
-linear in the external assets a.  Holding the solvency pattern xi fixed,
+Away from the default boundary the fixed point is piecewise linear in the
+external assets a.  Holding the solvency pattern xi fixed, s = diag(xi)(v - d)
+and r = (I - diag(xi)) v + diag(xi) d, so the firm values v = a + m_s s + m_d r
+solve one n x n linear system per pattern,
 
-    dx*/da = W E,   W = (I - dg/dx)^{-1},   E = (diag(xi); diag(1 - xi)),
+    A(xi) dv/da = I,   A(xi) = I - m_s diag(xi) - m_d (I - diag(xi)),
 
-where dg/dx = diag((xi; 1-xi)) [[m_s, m_d], [m_s, m_d]].  W acts as an
-exposure-weighted chain of holdings: its Neumann series accumulates the
-impact of a marginal asset change along every holding path.
+and every claim sensitivity is a projection of its solution:
 
-Reduced to firm values v = a + m_s s + m_d r, the same sensitivities read
+    u_s = ds*/da = diag(xi) dv/da,   u_d = dr*/da = (I - diag(xi)) dv/da.
 
-    dv/da = A(xi)^{-1} = sum_k B(xi)^k,   B(xi) = m_d + (m_s - m_d) diag(xi),
-    u_s = ds*/da = diag(xi) dv/da,        u_d = dr*/da = diag(1 - xi) dv/da.
+Column sums w^T dv/da come from the one transposed solve A(xi)^T y = w.
+This is the fictitious-default system of Eisenberg & Noe (2001), extended to
+equity cross-holdings.
 
-B(xi) is non-negative, and with every column sum of m_s and m_d strictly
-below one the series converges.  Comparing two solvency patterns
+Writing A(xi) = I - B(xi), B(xi) = m_d + (m_s - m_d) diag(xi), gives
+dv/da = sum_k B(xi)^k: an exposure-weighted chain of holdings whose Neumann
+series accumulates the impact of a marginal asset change along every holding
+path.  B(xi) is non-negative, and with every column sum of m_s and m_d
+strictly below one the series converges.  Comparing two solvency patterns
 xi_lo <= xi_hi (more firms solvent) then gives three monotonicity results:
 
 * if m_s >= m_d entrywise, u_s is entrywise non-decreasing in xi;
@@ -42,8 +46,6 @@ from .network import FirmNetwork, SolvencyVector
 __all__ = [
     "SensitivityError",
     "ClaimsJacobian",
-    "jacobian_g",
-    "weighting_matrix",
     "claims_sensitivity",
     "dxda_batch",
     "threat_index",
@@ -68,6 +70,28 @@ def _xi_array(xi, n: int) -> np.ndarray:
     return arr
 
 
+def _system(net: FirmNetwork, xi_batch: np.ndarray) -> np.ndarray:
+    """A(xi) for a (B, n) batch of 0/1 patterns -> (B, n, n).
+
+    Column j holds m_s[:, j] when firm j is solvent and m_d[:, j] otherwise;
+    selecting (not mixing) the columns keeps each entry exact.
+    """
+    solvent = xi_batch[:, None, :] == 1.0
+    return np.eye(net.n) - np.where(solvent, net.m_s, net.m_d)
+
+
+def _solve(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    try:
+        return np.linalg.solve(lhs, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise SensitivityError(f"singular sensitivity system: {exc}") from exc
+
+
+def _column_sums(net: FirmNetwork, xi: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """w^T dv/da, by one transposed solve A(xi)^T y = w."""
+    return _solve(_system(net, xi[None])[0].T, w)
+
+
 @dataclass(frozen=True)
 class ClaimsJacobian:
     """Sensitivities dx*/da (2n x n) at a fixed solvency pattern."""
@@ -90,54 +114,19 @@ class ClaimsJacobian:
         return self.dxda[self.n:]
 
 
-def jacobian_g(net: FirmNetwork, xi) -> np.ndarray:
-    """Jacobian of the valuation map in x at solvency pattern xi (2n x 2n)."""
-    xi = _xi_array(xi, net.n)
-    blocks = np.block([[net.m_s, net.m_d], [net.m_s, net.m_d]])
-    weights = np.concatenate([xi, 1.0 - xi])
-    return weights[:, None] * blocks
-
-
-def weighting_matrix(net: FirmNetwork, xi) -> np.ndarray:
-    """W = (I - dg/dx)^{-1}, materialized explicitly.
-
-    Solved column-by-column with an LU factorization; W is entrywise
-    non-negative with ones on the diagonal dominating each row's own block.
-    """
-    J = jacobian_g(net, xi)
-    eye = np.eye(2 * net.n)
-    try:
-        return np.linalg.solve(eye - J, eye)
-    except np.linalg.LinAlgError as exc:
-        raise SensitivityError(f"singular sensitivity system: {exc}") from exc
+def dxda_batch(net: FirmNetwork, xi_batch: np.ndarray) -> np.ndarray:
+    """Stacked dx*/da = (u_s; u_d) for a (B, n) batch of solvency patterns -> (B, 2n, n)."""
+    xi_batch = np.asarray(xi_batch, dtype=float)
+    lhs = _system(net, xi_batch)
+    dvda = _solve(lhs, np.broadcast_to(np.eye(net.n), lhs.shape))
+    xi = xi_batch[:, :, None]
+    return np.concatenate([xi * dvda, (1.0 - xi) * dvda], axis=1)
 
 
 def claims_sensitivity(net: FirmNetwork, xi) -> ClaimsJacobian:
     """dx*/da away from the default boundary, by one linear solve."""
     xi_arr = _xi_array(xi, net.n)
-    n = net.n
-    J = jacobian_g(net, xi_arr)
-    mask = np.concatenate([xi_arr, 1.0 - xi_arr])
-    rhs = mask[:, None] * np.vstack([np.eye(n), np.eye(n)])
-    try:
-        dxda = np.linalg.solve(np.eye(2 * n) - J, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SensitivityError(f"singular sensitivity system: {exc}") from exc
-    return ClaimsJacobian(dxda=dxda, xi=xi_arr)
-
-
-def dxda_batch(net: FirmNetwork, xi_batch: np.ndarray) -> np.ndarray:
-    """Stacked dx*/da for a (B, n) batch of solvency patterns -> (B, 2n, n)."""
-    xi_batch = np.asarray(xi_batch, dtype=float)
-    B, n = xi_batch.shape
-    blocks = np.block([[net.m_s, net.m_d], [net.m_s, net.m_d]])
-    mask = np.concatenate([xi_batch, 1.0 - xi_batch], axis=1)     # (B, 2n)
-    lhs = np.eye(2 * n) - mask[:, :, None] * blocks
-    rhs = mask[:, :, None] * np.vstack([np.eye(n), np.eye(n)])
-    try:
-        return np.linalg.solve(lhs, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SensitivityError(f"singular sensitivity system: {exc}") from exc
+    return ClaimsJacobian(dxda=dxda_batch(net, xi_arr[None])[0], xi=xi_arr)
 
 
 def threat_index(net: FirmNetwork, xi) -> np.ndarray:
@@ -145,7 +134,7 @@ def threat_index(net: FirmNetwork, xi) -> np.ndarray:
 
     Defined for pure debt networks (m_s = 0):
 
-        mu^T = 1^T (I - diag(1-xi) m_d)^{-1} diag(1-xi),
+        mu^T = 1^T u_d = (1 - xi)^T A(xi)^{-1},
 
     i.e. the gradient of sum_i r*_i with respect to a.  Solvent firms score
     zero; an isolated insolvent firm scores one; holdings of distressed
@@ -154,25 +143,12 @@ def threat_index(net: FirmNetwork, xi) -> np.ndarray:
     if np.any(net.m_s != 0.0):
         raise ValueError("threat index is defined for pure debt cross-holdings (m_s = 0)")
     xi = _xi_array(xi, net.n)
-    fail = 1.0 - xi
-    lhs = np.eye(net.n) - fail[:, None] * net.m_d
-    try:
-        y = np.linalg.solve(lhs.T, np.ones(net.n))
-    except np.linalg.LinAlgError as exc:
-        raise SensitivityError(f"singular sensitivity system: {exc}") from exc
-    return fail * y
+    return _column_sums(net, xi, 1.0 - xi)
 
 
 def aggregate_impact(net: FirmNetwork, xi) -> np.ndarray:
-    """Column sums 1^T dx*/da: total claim-value response per asset shock."""
-    xi_arr = _xi_array(xi, net.n)
-    n = net.n
-    J = jacobian_g(net, xi_arr)
-    try:
-        y = np.linalg.solve((np.eye(2 * n) - J).T, np.ones(2 * n))
-    except np.linalg.LinAlgError as exc:
-        raise SensitivityError(f"singular sensitivity system: {exc}") from exc
-    return xi_arr * y[:n] + (1.0 - xi_arr) * y[n:]
+    """Column sums 1^T dx*/da = 1^T A(xi)^{-1}: total claim-value response per asset shock."""
+    return _column_sums(net, _xi_array(xi, net.n), np.ones(net.n))
 
 
 def outside_sensitivity(net: FirmNetwork, xi) -> np.ndarray:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blackscholes import call_price, norm_cdf, norm_pdf, put_price
+from .blackscholes import norm_cdf, norm_pdf
 from .gbm import GbmParams
 from .network import FirmNetwork, symmetric_network
 
@@ -29,9 +29,7 @@ __all__ = [
     "symmetric_expost",
     "d_plus_minus",
     "symmetric_price",
-    "symmetric_price_bs",
     "symmetric_greeks",
-    "delta_rho_conditional",
     "symmetric_pi",
     "symmetric_mc_inputs",
 ]
@@ -112,21 +110,6 @@ def symmetric_price(p: SymmetricParams):
     return float(s_t), float(r_t)
 
 
-def symmetric_price_bs(p: SymmetricParams):
-    """Same prices as amplified Black-Scholes claims on the asset.
-
-    Equity is 1/(1 - w_s) calls struck at K = (1 - w_d) d; debt is
-    (discounted K minus a put) scaled by 1/(1 - w_d).  Agrees with
-    symmetric_price to floating precision; kept as an independent route.
-    """
-    k = p.strike
-    call = call_price(p.a_t, k, p.r, p.tau, p.sigma)
-    put = put_price(p.a_t, k, p.r, p.tau, p.sigma)
-    s_t = call / (1.0 - p.w_s)
-    r_t = (k * np.exp(-p.r * p.tau) - put) / (1.0 - p.w_d)
-    return float(s_t), float(r_t)
-
-
 def symmetric_greeks(p: SymmetricParams) -> SymmetricGreeks:
     """Closed-form delta, vega, theta, rho of (s_t, r_t).
 
@@ -155,32 +138,6 @@ def symmetric_greeks(p: SymmetricParams) -> SymmetricGreeks:
         rho_s=float(k * p.tau * np.exp(-p.r * p.tau) * norm_cdf(d_minus) / ws),
         rho_r=float(-k * p.tau * np.exp(-p.r * p.tau) * norm_cdf(d_minus) / wd),
     )
-
-
-def delta_rho_conditional(p: SymmetricParams):
-    """Delta and rho assembled from solvency-conditioned expectations.
-
-    Independent derivation route: split the payoff expectation by the
-    terminal solvency event, using
-    E[A_T 1{solvent}] = a_t e^{r tau} Phi(d_plus) and its complement.
-    Returns (delta_s, delta_r, rho_s, rho_r); agrees with symmetric_greeks
-    to floating precision.
-    """
-    d_plus, d_minus = d_plus_minus(p)
-    disc = np.exp(-p.r * p.tau)
-    # undiscounted conditional masses: E[A_T; solvent], E[A_T; insolvent]
-    mass_solvent = p.a_t * np.exp(p.r * p.tau) * norm_cdf(d_plus)
-    mass_insolvent = p.a_t * np.exp(p.r * p.tau) * norm_cdf(-d_plus)
-    prob_solvent = norm_cdf(d_minus)
-
-    delta_s = disc * mass_solvent / (p.a_t * (1.0 - p.w_s))
-    delta_r = disc * mass_insolvent / (p.a_t * (1.0 - p.w_d))
-
-    s_fwd = (mass_solvent - p.strike * prob_solvent) / (1.0 - p.w_s)
-    r_fwd = (mass_insolvent + (1.0 - p.w_d) * p.d * prob_solvent) / (1.0 - p.w_d)
-    rho_s = -p.tau * disc * s_fwd + p.tau * disc * mass_solvent / (1.0 - p.w_s)
-    rho_r = -p.tau * disc * r_fwd + p.tau * disc * mass_insolvent / (1.0 - p.w_d)
-    return float(delta_s), float(delta_r), float(rho_s), float(rho_r)
 
 
 def symmetric_pi(p: SymmetricParams) -> float:

@@ -1,4 +1,5 @@
-"""Shared test utilities: random admissible networks and finite differences."""
+"""Shared test utilities: random admissible networks, finite differences and
+the 2n x 2n sensitivity oracle."""
 
 from __future__ import annotations
 
@@ -66,3 +67,21 @@ def fd_claims_jacobian(net, a, h=1e-6):
         x_dn = solve_claims(net, dn, TIGHT).claims.x
         jac[:, j] = (x_up - x_dn) / (2.0 * step)
     return jac
+
+
+def jacobian_g(net, xi):
+    """Jacobian of the valuation map in x = (s; r) at solvency pattern xi (2n x 2n)."""
+    xi = np.asarray(xi, dtype=float)
+    blocks = np.block([[net.m_s, net.m_d], [net.m_s, net.m_d]])
+    weights = np.concatenate([xi, 1.0 - xi])
+    return weights[:, None] * blocks
+
+
+def weighting_matrix(net, xi):
+    """W = (I - dg/dx)^{-1}, the unreduced 2n x 2n exposure-weighting matrix.
+
+    dx*/da = W (diag(xi); diag(1 - xi)) is the oracle that the reduced n x n
+    solve in ``netgreeks.sensitivity`` is compared against.
+    """
+    eye = np.eye(2 * net.n)
+    return np.linalg.solve(eye - jacobian_g(net, xi), eye)

@@ -91,6 +91,16 @@ def test_solver_failure_exit_code(tmp_path, capsys):
     assert "solver failure" in capsys.readouterr().err
 
 
+def test_nonfinite_input_is_config_error(tmp_path, capsys):
+    # NaN volatility is rejected at the boundary, not after max_iter Picard steps
+    cfg = _write(tmp_path, "price.json", {
+        "kind": "price", "network": str(CONFIGS / "example_network.json"),
+        "a_t": 1.0, "sigma": float("nan"), "draws": 64, "seed": 1,
+    })
+    assert main(["price", "--config", cfg, "--out", str(tmp_path / "p.json")]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
 def test_seed_override_changes_bytes(tmp_path, capsys):
     cfg = _write(tmp_path, "two.json", {
         "kind": "two-firm", "a0": 1.0, "w_d": 0.4, "sigma": 0.4, "d": 1.0,

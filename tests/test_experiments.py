@@ -14,6 +14,7 @@ from netgreeks.experiments import (
     ConfigError,
     ExperimentConfig,
     _grid,
+    _task_seed,
     run_er_sweep,
     run_experiment,
     run_local_compare,
@@ -65,6 +66,8 @@ def test_from_dict_validates():
         ExperimentConfig.from_dict({**good, "draws": 1})
     with pytest.raises(ConfigError, match="threads"):
         ExperimentConfig.from_dict({**good, "threads": 0})
+    with pytest.raises(ConfigError, match="networks"):
+        ExperimentConfig.from_dict({**good, "networks": 0})
 
 
 def test_from_json_errors(tmp_path):
@@ -147,6 +150,12 @@ def test_two_firm_insolvent_branch():
         assert v2 == pytest.approx(expect[1], rel=1e-10)
 
 
+def test_two_firm_bad_asset_model_is_config_error():
+    for sigma in (float("nan"), -0.1):
+        with pytest.raises(ConfigError, match="asset model"):
+            run_two_firm(_two_firm_cfg(sigma=sigma))
+
+
 def test_two_firm_csv(tmp_path):
     out = tmp_path / "two.csv"
     run_two_firm(_two_firm_cfg(), out=out)
@@ -202,6 +211,31 @@ def test_er_sweep_replay_identical(tmp_path):
     assert a.read_bytes() != c.read_bytes()
 
 
+def test_er_sweep_members_replay_from_task_seed(monkeypatch, tmp_path):
+    # member m of cell (ki, wi) is er_network(seed=_task_seed(seed, 0, ki, wi, m)),
+    # so any member can be rebuilt from the config alone
+    import netgreeks.experiments as ex
+
+    er_network = ex.er_network
+    built = []
+
+    def recording(n, k_mean, w_d, seed, **kw):
+        net = er_network(n, k_mean, w_d, seed=seed, **kw)
+        built.append((k_mean, w_d, seed, net))
+        return net
+
+    monkeypatch.setattr(ex, "er_network", recording)
+    cfg = _sweep_cfg()
+    run_er_sweep(cfg, out=tmp_path / "sweep.csv")
+    expected = [(k, w, _task_seed(cfg.seed, 0, ki, wi, m))
+                for ki, k in enumerate(cfg.k_mean) for wi, w in enumerate(cfg.w_d)
+                for m in range(cfg.networks)]
+    assert [b[:3] for b in built] == expected
+    for k_mean, w_d, seed, net in built:
+        replay = er_network(cfg.n, k_mean, w_d, seed=seed, d=cfg.d)
+        np.testing.assert_array_equal(replay.m_d, net.m_d)
+
+
 # --- price / greeks / local-compare ----------------------------------------------
 
 def test_price_runner(tmp_path):
@@ -252,6 +286,22 @@ def test_local_compare_runner(tmp_path):
     # diagonal of the exact sensitivity must dominate its own column spill-over
     diag = [r for r in rows if r[0] == r[1]]
     assert all(r[col["exact_drda"]] > 0 for r in diag)
+
+
+def test_local_compare_honours_corr():
+    # the exact Monte Carlo column samples correlated assets: pairwise
+    # correlation 0.9 must move the sensitivities and default probabilities
+    base = {"kind": "local-compare", "network": str(CONFIGS / "debt_network.json"),
+            "a_t": 1.05, "sigma": 0.4, "firm_vol": 0.4, "draws": 2000, "seed": 2}
+    corr = np.full((3, 3), 0.9)
+    np.fill_diagonal(corr, 1.0)
+    plain = run_local_compare(ExperimentConfig.from_dict(base))
+    correlated = run_local_compare(ExperimentConfig.from_dict({**base, "corr": corr.tolist()}))
+    identity = run_local_compare(ExperimentConfig.from_dict({**base, "corr": np.eye(3).tolist()}))
+    col = {name: i for i, name in enumerate(LOCAL_COMPARE_HEADER)}
+    assert identity == plain
+    for name in ("exact_drda", "pd_i", "pd_j"):
+        assert [r[col[name]] for r in correlated] != [r[col[name]] for r in plain]
 
 
 # --- validate ----------------------------------------------------------------------

@@ -30,6 +30,15 @@ def test_params_reject_nonpositive_inputs():
         GbmParams(a_t=[1.0], sigma=[0.4], r=0.0, tau=0.0, corr=np.eye(1))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("field", ["a_t", "sigma", "r", "tau"])
+def test_params_reject_nonfinite_inputs(field, bad):
+    good = dict(a_t=[1.0, 1.0], sigma=[0.4, 0.4], r=0.0, tau=1.0)
+    value = [1.0, bad] if field in ("a_t", "sigma") else bad
+    with pytest.raises(ValueError, match="finite"):
+        GbmParams(**{**good, field: value}, corr=np.eye(2))
+
+
 def test_params_reject_bad_correlation():
     asym = np.array([[1.0, 0.3], [0.2, 1.0]])
     with pytest.raises(ValueError, match="symmetric"):
@@ -105,15 +114,15 @@ def test_normal_variates_moments():
 
 def test_terminal_at_zero_noise():
     p = _params(n=2, r=0.05, tau=2.0, sigma=0.4)
-    draw = sample_terminal(p, np.zeros(2))
+    a_T = sample_terminal(p, np.zeros(2))
     expected = np.exp((0.05 - 0.08) * 2.0)
-    np.testing.assert_allclose(draw.a_T, expected, rtol=1e-15)
+    np.testing.assert_allclose(a_T, expected, rtol=1e-15)
 
 
 def test_terminal_vanishing_volatility():
     p = GbmParams(a_t=[2.0], sigma=[1e-12], r=0.03, tau=1.0, corr=np.eye(1))
-    draw = sample_terminal(p, np.array([1.3]))
-    np.testing.assert_allclose(draw.a_T, 2.0 * np.exp(0.03), rtol=1e-9)
+    a_T = sample_terminal(p, np.array([1.3]))
+    np.testing.assert_allclose(a_T, 2.0 * np.exp(0.03), rtol=1e-9)
 
 
 def test_terminal_martingale_property():
@@ -122,8 +131,7 @@ def test_terminal_martingale_property():
     corr = np.array([[1.0, 0.7], [0.7, 1.0]])
     p = GbmParams(a_t=[1.0, 2.0], sigma=[0.4, 0.25], r=0.05, tau=1.5, corr=corr)
     z = normal_variates(11, 200_000, 2)
-    draw = sample_terminal(p, z)
-    disc = np.exp(-p.r * p.tau) * draw.a_T
+    disc = np.exp(-p.r * p.tau) * sample_terminal(p, z)
     se = disc.std(axis=0, ddof=1) / np.sqrt(disc.shape[0])
     assert np.all(np.abs(disc.mean(axis=0) - p.a_t) < 3.0 * se)
 
@@ -140,10 +148,11 @@ def test_correlated_draws_have_target_correlation():
 
 def test_partials_closed_form_values():
     p = _params(n=1, r=0.0, tau=1.0, sigma=0.4)
-    draw = sample_terminal(p, np.zeros(1))
-    parts = terminal_partials(p, draw)
-    np.testing.assert_allclose(parts.da_t, np.exp(-0.08), rtol=1e-12)
-    np.testing.assert_allclose(parts.dr, draw.a_T * p.tau, rtol=1e-15)
+    z = np.zeros(1)
+    a_T = sample_terminal(p, z)
+    da_t, _, dr, _ = terminal_partials(p, z, a_T)
+    np.testing.assert_allclose(da_t, np.exp(-0.08), rtol=1e-12)
+    np.testing.assert_allclose(dr, a_T * p.tau, rtol=1e-15)
 
 
 def test_partials_match_finite_differences():
@@ -152,23 +161,22 @@ def test_partials_match_finite_differences():
                      corr=corr)
     z = normal_variates(17, 50, 2)
     L = cholesky_factor(corr)
-    draw = sample_terminal(base, z, L)
-    parts = terminal_partials(base, draw, L)
+    da_t, dsigma, dr, dtau = terminal_partials(base, z, sample_terminal(base, z, L), L)
 
     def a_T(a_t=base.a_t, sigma=base.sigma, r=base.r, tau=base.tau):
         p = GbmParams(a_t=a_t, sigma=sigma, r=r, tau=tau, corr=corr)
-        return sample_terminal(p, z, L).a_T
+        return sample_terminal(p, z, L)
 
     h = 1e-6
     for i in range(2):
         e = np.zeros(2)
         e[i] = h
         fd = (a_T(a_t=base.a_t + e) - a_T(a_t=base.a_t - e)) / (2 * h)
-        np.testing.assert_allclose(fd[:, i], parts.da_t[:, i], rtol=1e-7)
+        np.testing.assert_allclose(fd[:, i], da_t[:, i], rtol=1e-7)
         assert np.allclose(fd[:, 1 - i], 0.0)
         fd = (a_T(sigma=base.sigma + e) - a_T(sigma=base.sigma - e)) / (2 * h)
-        np.testing.assert_allclose(fd[:, i], parts.dsigma[:, i], rtol=1e-6)
+        np.testing.assert_allclose(fd[:, i], dsigma[:, i], rtol=1e-6)
     fd = (a_T(r=base.r + h) - a_T(r=base.r - h)) / (2 * h)
-    np.testing.assert_allclose(fd, parts.dr, rtol=1e-7)
+    np.testing.assert_allclose(fd, dr, rtol=1e-7)
     fd = (a_T(tau=base.tau + h) - a_T(tau=base.tau - h)) / (2 * h)
-    np.testing.assert_allclose(fd, parts.dtau, rtol=1e-6)
+    np.testing.assert_allclose(fd, dtau, rtol=1e-6)

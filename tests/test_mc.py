@@ -8,7 +8,7 @@ import pytest
 import netgreeks as ng
 from netgreeks.fixpoint import ConvergenceError, FixedPointConfig
 from netgreeks.gbm import GbmParams
-from netgreeks.mc import GreekReport, delta_total, mc_greeks, price_claims
+from netgreeks.mc import GreekReport, mc_greeks, price_claims
 from netgreeks.symmetric import (
     SymmetricParams,
     symmetric_greeks,
@@ -181,7 +181,7 @@ def test_invariants_on_random_network():
     assert np.all(rep.price_se >= 0.0) and np.all(rep.delta_se >= 0.0)
     assert np.all((rep.default_prob >= 0.0) & (rep.default_prob <= 1.0))
     assert np.all(rep.pi >= 1.0 - 1e-12)       # own unit plus spill-overs
-    np.testing.assert_allclose(delta_total(rep), rep.delta.sum(axis=0))
+    np.testing.assert_allclose(rep.delta_total, rep.delta.sum(axis=0))
     np.testing.assert_allclose(rep.delta_uniform, rep.delta.sum(axis=1),
                                atol=5e-15)
 

@@ -3,30 +3,29 @@
 import numpy as np
 import pytest
 
-from netgreeks.netgen import (
-    EnsembleSpec,
-    SinkhornError,
-    er_ensemble,
-    er_network,
-    member_seed,
-    sinkhorn_balance,
-)
+from netgreeks.experiments import _task_seed
+from netgreeks.netgen import SinkhornError, er_network, sinkhorn_balance
 from netgreeks.network import validate_network
 import netgreeks as ng
 
 
 def test_spec_validation():
-    good = dict(n=10, k_mean=3.0, w_d=0.6, networks=5, seed=0)
-    EnsembleSpec(**good)
+    # the ensemble parameters er_network accepts
+    good = dict(n=10, k_mean=3.0, w_d=0.6, seed=0)
+    er_network(**good)
     for bad in (dict(n=1), dict(w_d=1.0), dict(k_mean=-1.0),
-                dict(k_mean=10.0), dict(networks=0), dict(d=0.0)):
+                dict(k_mean=10.0), dict(d=0.0)):
         with pytest.raises(ValueError):
-            EnsembleSpec(**{**good, **bad})
+            er_network(**{**good, **bad})
 
 
 def test_edge_prob():
-    spec = EnsembleSpec(n=10, k_mean=3.0, w_d=0.6, networks=1, seed=0)
-    assert spec.edge_prob == pytest.approx(3.0 / 9.0)
+    # the support is the first uniform draw of the seed's stream thresholded
+    # at p = k_mean / (n - 1), diagonal removed
+    net = er_network(10, 3.0, 0.6, seed=0)
+    adj = np.random.default_rng(0).random((10, 10)) < 3.0 / 9.0
+    np.fill_diagonal(adj, False)
+    np.testing.assert_array_equal(net.m_d > 0.0, adj)
 
 
 def test_no_holdings_at_zero_degree():
@@ -54,9 +53,8 @@ def test_columns_hit_target_or_stay_empty():
 
 
 def test_members_pass_validation():
-    nets, _ = er_ensemble(EnsembleSpec(n=12, k_mean=2.5, w_d=0.8, networks=20,
-                                       seed=4))
-    for net in nets:
+    for i in range(20):
+        net = er_network(12, 2.5, 0.8, seed=_task_seed(4, i))
         report = validate_network(net.m_s, net.m_d, net.d)
         assert report.ok, report.failures
 
@@ -68,7 +66,7 @@ def test_degree_means():
     rows = np.empty((draws, n))
     cols = np.empty((draws, n))
     for i in range(draws):
-        adj = er_network(n, k_mean, 0.5, seed=member_seed(5, i)).m_d > 0
+        adj = er_network(n, k_mean, 0.5, seed=_task_seed(5, i)).m_d > 0
         rows[i] = adj.sum(axis=1)
         cols[i] = adj.sum(axis=0)
     p = k_mean / (n - 1)
@@ -81,7 +79,7 @@ def test_mean_total_weight_tracks_nonempty_probability():
     # a column carries weight w_d iff it has at least one holder
     n, k_mean, w_d, draws = 8, 1.5, 0.6, 1000
     p = k_mean / (n - 1)
-    totals = np.array([er_network(n, k_mean, w_d, seed=member_seed(6, i)).m_d.sum() / n
+    totals = np.array([er_network(n, k_mean, w_d, seed=_task_seed(6, i)).m_d.sum() / n
                        for i in range(draws)])
     expected = w_d * (1.0 - (1.0 - p) ** (n - 1))
     se = totals.std(ddof=1) / np.sqrt(draws)
@@ -97,20 +95,10 @@ def test_reproducible_generation():
 
 
 def test_member_seed_stability():
-    assert member_seed(0, 3) == member_seed(0, 3)
-    seeds = {member_seed(7, i) for i in range(100)}
+    # ensemble members derive their seeds with the experiments task-seed rule
+    assert _task_seed(0, 3) == _task_seed(0, 3)
+    seeds = {_task_seed(7, i) for i in range(100)}
     assert len(seeds) == 100
-
-
-def test_ensemble_manifest():
-    spec = EnsembleSpec(n=6, k_mean=2.0, w_d=0.4, networks=3, seed=9)
-    nets, manifest = er_ensemble(spec)
-    assert len(nets) == 3
-    assert manifest["member_seeds"] == [member_seed(9, i) for i in range(3)]
-    assert manifest["n"] == 6 and manifest["sinkhorn"] is False
-    # replay from the manifest reproduces each member
-    replay = er_network(6, 2.0, 0.4, seed=manifest["member_seeds"][1])
-    np.testing.assert_array_equal(replay.m_d, nets[1].m_d)
 
 
 # --- Sinkhorn ------------------------------------------------------------------

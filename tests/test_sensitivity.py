@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 import netgreeks as ng
-from helpers import TIGHT, fd_claims_jacobian, random_interior_scenario, random_network
+from helpers import (TIGHT, fd_claims_jacobian, jacobian_g, random_interior_scenario,
+                     random_network, weighting_matrix)
 
 
 def test_jacobian_no_holdings_is_zero():
     n = 3
     net = ng.FirmNetwork(m_s=np.zeros((n, n)), m_d=np.zeros((n, n)), d=np.ones(n))
-    J = ng.jacobian_g(net, np.ones(n))
+    J = jacobian_g(net, np.ones(n))
     assert np.all(J == 0.0)
 
 
@@ -16,11 +17,11 @@ def test_jacobian_block_structure():
     rng = np.random.default_rng(3)
     net = random_network(rng, 4)
     n = net.n
-    all_solvent = ng.jacobian_g(net, np.ones(n))
+    all_solvent = jacobian_g(net, np.ones(n))
     np.testing.assert_array_equal(all_solvent[:n, :n], net.m_s)
     np.testing.assert_array_equal(all_solvent[:n, n:], net.m_d)
     assert np.all(all_solvent[n:] == 0.0)
-    all_insolvent = ng.jacobian_g(net, np.zeros(n))
+    all_insolvent = jacobian_g(net, np.zeros(n))
     assert np.all(all_insolvent[:n] == 0.0)
     np.testing.assert_array_equal(all_insolvent[n:, :n], net.m_s)
     np.testing.assert_array_equal(all_insolvent[n:, n:], net.m_d)
@@ -29,15 +30,15 @@ def test_jacobian_block_structure():
 def test_weighting_matrix_no_holdings_is_identity():
     n = 3
     net = ng.FirmNetwork(m_s=np.zeros((n, n)), m_d=np.zeros((n, n)), d=np.ones(n))
-    np.testing.assert_allclose(ng.weighting_matrix(net, np.ones(n)), np.eye(2 * n))
+    np.testing.assert_allclose(weighting_matrix(net, np.ones(n)), np.eye(2 * n))
 
 
 def test_weighting_matrix_neumann_series():
     rng = np.random.default_rng(8)
     net = random_network(rng, 4)
     xi = (rng.random(4) < 0.5).astype(float)
-    J = ng.jacobian_g(net, xi)
-    W = ng.weighting_matrix(net, xi)
+    J = jacobian_g(net, xi)
+    W = weighting_matrix(net, xi)
     series = np.eye(8)
     term = np.eye(8)
     for _ in range(300):
@@ -66,14 +67,18 @@ def test_all_insolvent_sensitivity_ignores_equity_holdings():
 
 
 def test_sensitivity_matches_weighting_matrix():
+    # the reduced n x n solve against the unreduced 2n x 2n oracle, on
+    # coupled networks and every kind of pattern
     rng = np.random.default_rng(14)
-    net = random_network(rng, 4)
-    xi = np.array([1.0, 0.0, 1.0, 0.0])
-    W = ng.weighting_matrix(net, xi)
-    rhs = np.vstack([np.diag(xi), np.diag(1.0 - xi)])
-    jac = ng.claims_sensitivity(net, xi)
-    np.testing.assert_allclose(jac.dxda, W @ rhs, atol=1e-12)
-    assert np.all(jac.dxda >= -1e-12)
+    patterns = [np.array([1.0, 0.0, 1.0, 0.0])]
+    patterns += [(rng.random(4) < 0.5).astype(float) for _ in range(20)]
+    for xi in patterns:
+        net = random_network(rng, 4)
+        W = weighting_matrix(net, xi)
+        rhs = np.vstack([np.diag(xi), np.diag(1.0 - xi)])
+        jac = ng.claims_sensitivity(net, xi)
+        np.testing.assert_allclose(jac.dxda, W @ rhs, atol=1e-12)
+        assert np.all(jac.dxda >= -1e-12)
 
 
 def test_sensitivity_matches_finite_differences():
@@ -271,7 +276,9 @@ def test_mixed_network_monotonicity_violations_are_generic():
 
 def test_singular_system_raises_sensitivity_error():
     # simulate an upstream admissibility violation: column sums of one with
-    # full insolvency make I - J exactly singular
+    # full insolvency make A(xi) = I - m_d exactly singular
+    from netgreeks.sensitivity import dxda_batch
+
     class Stub:
         n = 2
         m_s = np.zeros((2, 2))
@@ -279,4 +286,8 @@ def test_singular_system_raises_sensitivity_error():
         d = np.ones(2)
 
     with pytest.raises(ng.SensitivityError):
-        ng.weighting_matrix(Stub(), np.zeros(2))
+        ng.claims_sensitivity(Stub(), np.zeros(2))
+    with pytest.raises(ng.SensitivityError):
+        dxda_batch(Stub(), np.zeros((3, 2)))
+    with pytest.raises(ng.SensitivityError):
+        ng.aggregate_impact(Stub(), np.zeros(2))

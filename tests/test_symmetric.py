@@ -3,18 +3,60 @@
 import numpy as np
 import pytest
 
+from netgreeks.blackscholes import call_price, norm_cdf, put_price
 from netgreeks.symmetric import (
     SymmetricGreeks,
     SymmetricParams,
     d_plus_minus,
-    delta_rho_conditional,
     symmetric_expost,
     symmetric_greeks,
     symmetric_mc_inputs,
     symmetric_pi,
     symmetric_price,
-    symmetric_price_bs,
 )
+
+
+# --- independent oracle routes ------------------------------------------------
+
+def symmetric_price_bs(p: SymmetricParams):
+    """Same prices as amplified Black-Scholes claims on the asset.
+
+    Equity is 1/(1 - w_s) calls struck at K = (1 - w_d) d; debt is
+    (discounted K minus a put) scaled by 1/(1 - w_d).  Agrees with
+    symmetric_price to floating precision; kept as an independent route.
+    """
+    k = p.strike
+    call = call_price(p.a_t, k, p.r, p.tau, p.sigma)
+    put = put_price(p.a_t, k, p.r, p.tau, p.sigma)
+    s_t = call / (1.0 - p.w_s)
+    r_t = (k * np.exp(-p.r * p.tau) - put) / (1.0 - p.w_d)
+    return float(s_t), float(r_t)
+
+
+def delta_rho_conditional(p: SymmetricParams):
+    """Delta and rho assembled from solvency-conditioned expectations.
+
+    Independent derivation route: split the payoff expectation by the
+    terminal solvency event, using
+    E[A_T 1{solvent}] = a_t e^{r tau} Phi(d_plus) and its complement.
+    Returns (delta_s, delta_r, rho_s, rho_r); agrees with symmetric_greeks
+    to floating precision.
+    """
+    d_plus, d_minus = d_plus_minus(p)
+    disc = np.exp(-p.r * p.tau)
+    # undiscounted conditional masses: E[A_T; solvent], E[A_T; insolvent]
+    mass_solvent = p.a_t * np.exp(p.r * p.tau) * norm_cdf(d_plus)
+    mass_insolvent = p.a_t * np.exp(p.r * p.tau) * norm_cdf(-d_plus)
+    prob_solvent = norm_cdf(d_minus)
+
+    delta_s = disc * mass_solvent / (p.a_t * (1.0 - p.w_s))
+    delta_r = disc * mass_insolvent / (p.a_t * (1.0 - p.w_d))
+
+    s_fwd = (mass_solvent - p.strike * prob_solvent) / (1.0 - p.w_s)
+    r_fwd = (mass_insolvent + (1.0 - p.w_d) * p.d * prob_solvent) / (1.0 - p.w_d)
+    rho_s = -p.tau * disc * s_fwd + p.tau * disc * mass_solvent / (1.0 - p.w_s)
+    rho_r = -p.tau * disc * r_fwd + p.tau * disc * mass_insolvent / (1.0 - p.w_d)
+    return float(delta_s), float(delta_r), float(rho_s), float(rho_r)
 
 
 def _p(w_s=0.2, w_d=0.4, d=1.0, a_t=1.0, sigma=0.4, r=0.0, tau=1.0):
