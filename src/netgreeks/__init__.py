@@ -4,8 +4,7 @@ from .blackscholes import call_price, put_price
 from .fixpoint import (BatchSolution, ConvergenceError, FixedPointConfig,
                        FixedPointSolution, eval_g, solvency, solve_claims,
                        solve_claims_batch)
-from .gbm import (GbmParams, cholesky_factor, normal_variates, sample_terminal,
-                  terminal_partials)
+from .gbm import GbmParams, normal_variates, sample_terminal, terminal_partials
 from .local import (LocalValuationState, independent_default_delta,
                     local_delta, local_fixed_point, marginal_contagion)
 from .mc import GreekReport, PriceResult, mc_greeks, price_claims
@@ -15,8 +14,8 @@ from .network import (ClaimVector, FirmNetwork, NetworkError, SolvencyVector,
                       save_network, symmetric_network, validate_network)
 from .sensitivity import (ClaimsJacobian, SensitivityError, aggregate_impact,
                           claims_sensitivity, outside_sensitivity, threat_index)
-from .symmetric import (SymmetricGreeks, SymmetricParams, d_plus_minus,
-                        symmetric_expost, symmetric_greeks, symmetric_mc_inputs,
-                        symmetric_pi, symmetric_price)
+from .symmetric import (SymmetricGreeks, SymmetricParams, symmetric_expost,
+                        symmetric_greeks, symmetric_mc_inputs, symmetric_pi,
+                        symmetric_price)
 
 __version__ = "0.1.0"

@@ -12,14 +12,15 @@ from __future__ import annotations
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
 
 import numpy as np
 
 from .fixpoint import FixedPointConfig, solve_claims_batch
-from .gbm import GbmParams, cholesky_factor, normal_variates, sample_terminal
+from .gbm import GbmParams, normal_variates, sample_terminal
 from .local import independent_default_delta, local_delta, local_fixed_point, marginal_contagion
 from .mc import _chunk_size, _RunningStat, _tree_merge, mc_greeks, price_claims
 from .netgen import er_network
@@ -47,6 +48,15 @@ KINDS = ("symmetric-grid", "two-firm", "er-sweep", "price", "greeks",
 
 class ConfigError(ValueError):
     """Malformed or incomplete experiment configuration."""
+
+
+@contextmanager
+def _config_errors(what: str):
+    """Report a model constructor's ValueError as a ConfigError about `what`."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"bad {what}: {exc}") from exc
 
 
 def _fmt(value) -> str:
@@ -117,6 +127,8 @@ class ExperimentConfig:
         "local-compare": ("network", "a_t", "sigma", "firm_vol"),
         "validate": ("network",),
     }
+    # grid keys that these kinds read as one value
+    SINGLE = {"two-firm": ("a0", "w_d", "sigma"), "er-sweep": ("sigma",)}
 
     @classmethod
     def from_dict(cls, obj: dict, kind: str | None = None) -> "ExperimentConfig":
@@ -162,6 +174,9 @@ class ExperimentConfig:
             raise ConfigError("threads must be at least 1")
         if cfg.networks < 1:
             raise ConfigError("networks must be at least 1")
+        for key in cls.SINGLE.get(cfg_kind, ()):
+            if len(getattr(cfg, key)) != 1:
+                raise ConfigError(f"{cfg_kind}: {key} takes exactly one value")
         return cfg
 
     @classmethod
@@ -209,8 +224,9 @@ def run_symmetric_grid(cfg: ExperimentConfig, out=None) -> list[list]:
     """Closed-form prices and Greeks over the (a0, w_s, w_d, sigma) grid."""
     rows = []
     for a0, w_s, w_d, sigma in product(cfg.a0, cfg.w_s, cfg.w_d, cfg.sigma):
-        p = SymmetricParams(w_s=w_s, w_d=w_d, d=cfg.d, a_t=a0, sigma=sigma,
-                            r=cfg.r, tau=cfg.tau)
+        with _config_errors("symmetric model"):
+            p = SymmetricParams(w_s=w_s, w_d=w_d, d=cfg.d, a_t=a0, sigma=sigma,
+                                r=cfg.r, tau=cfg.tau)
         s_star, r_star, xi = symmetric_expost(a0, p)
         s_t, r_t = symmetric_price(p)
         g = symmetric_greeks(p)
@@ -238,12 +254,11 @@ def run_two_firm(cfg: ExperimentConfig, out=None) -> list[list]:
     """
     w_d = cfg.w_d[0]
     m_d = np.array([[0.0, w_d], [w_d, 0.0]])
-    net = FirmNetwork(m_s=np.zeros((2, 2)), m_d=m_d, d=np.full(2, cfg.d))
-    try:
+    with _config_errors("network"):
+        net = FirmNetwork(m_s=np.zeros((2, 2)), m_d=m_d, d=np.full(2, cfg.d))
+    with _config_errors("asset model"):
         gbm = GbmParams(a_t=np.full(2, cfg.a0[0]), sigma=np.full(2, cfg.sigma[0]),
                         r=cfg.r, tau=cfg.tau, corr=np.eye(2))
-    except ValueError as exc:
-        raise ConfigError(f"bad asset model: {exc}") from exc
     a_T = sample_terminal(gbm, normal_variates(cfg.seed, cfg.draws, 2))
     sol = solve_claims_batch(net, a_T, cfg.fixed_point_config())
     rows = [[i, cfg.seed, a_T[i, 0], a_T[i, 1], sol.v[i, 0], sol.v[i, 1],
@@ -268,10 +283,8 @@ ER_SWEEP_HEADER = [
 ]
 
 
-def _member_aggregates(net, a0, sigma, r, tau, draws, seed, fp_cfg):
+def _member_aggregates(net, gbm, draws, seed, fp_cfg):
     n = net.n
-    gbm = GbmParams(a_t=np.full(n, a0), sigma=np.full(n, sigma), r=r, tau=tau,
-                    corr=np.eye(n))
     rep = mc_greeks(net, gbm, draws, seed, cfg=fp_cfg)
     return {
         "s_price": rep.price[:n].mean(),
@@ -299,20 +312,24 @@ def run_er_sweep(cfg: ExperimentConfig, out=None) -> list[list]:
     """
     sigma = cfg.sigma[0]
     fp_cfg = cfg.fixed_point_config()
+    n = cfg.n
+    with _config_errors("asset model"):
+        gbms = [GbmParams(a_t=np.full(n, a0), sigma=np.full(n, sigma), r=cfg.r,
+                          tau=cfg.tau, corr=np.eye(n)) for a0 in cfg.a0]
     rows = []
     for ki, k_mean in enumerate(cfg.k_mean):
         for wi, w_d in enumerate(cfg.w_d):
             net_seeds = [_task_seed(cfg.seed, 0, ki, wi, m) for m in range(cfg.networks)]
-            nets = [er_network(cfg.n, k_mean, w_d, seed=s, d=cfg.d,
-                               sinkhorn=cfg.sinkhorn) for s in net_seeds]
+            with _config_errors("network"):
+                nets = [er_network(n, k_mean, w_d, seed=s, d=cfg.d,
+                                   sinkhorn=cfg.sinkhorn) for s in net_seeds]
 
             tasks = [(ai, m) for ai in range(len(cfg.a0)) for m in range(cfg.networks)]
 
             def work(task, nets=nets, ki=ki, wi=wi):
                 ai, m = task
                 seed = _task_seed(cfg.seed, 1, ki, wi, ai, m)
-                return _member_aggregates(nets[m], cfg.a0[ai], sigma, cfg.r,
-                                          cfg.tau, cfg.draws, seed, fp_cfg)
+                return _member_aggregates(nets[m], gbms[ai], cfg.draws, seed, fp_cfg)
 
             results = _ordered_map(work, tasks, cfg.threads)
             for ai, a0 in enumerate(cfg.a0):
@@ -322,7 +339,7 @@ def run_er_sweep(cfg: ExperimentConfig, out=None) -> list[list]:
                 hits = int(sum(c["boundary_hits"] for c in cell))
                 v_price = mean["s_price"] + mean["r_price"]
                 rows.append([
-                    k_mean, w_d, a0, sigma, cfg.d, cfg.r, cfg.tau, cfg.n,
+                    k_mean, w_d, a0, sigma, cfg.d, cfg.r, cfg.tau, n,
                     cfg.networks, cfg.draws, cfg.seed,
                     mean["s_price"], mean["r_price"], v_price,
                     mean["s_price"] / v_price if v_price else np.nan,
@@ -349,17 +366,12 @@ def run_er_sweep(cfg: ExperimentConfig, out=None) -> list[list]:
 # pricing and Greeks for a network from file
 
 def _gbm_from_config(cfg: ExperimentConfig, net: FirmNetwork) -> GbmParams:
-    a_t = np.asarray(cfg.a_t, dtype=float)
-    if a_t.shape == (1,):
-        a_t = np.full(net.n, a_t[0])
-    sigma = np.asarray(cfg.sigma, dtype=float)
-    if sigma.shape == (1,):
-        sigma = np.full(net.n, sigma[0])
-    corr = np.eye(net.n) if cfg.corr is None else np.asarray(cfg.corr, dtype=float)
-    try:
+    # a single a_t or sigma applies to every firm
+    a_t, sigma = (np.full(net.n, v[0]) if len(v) == 1 else np.asarray(v, dtype=float)
+                  for v in (cfg.a_t, cfg.sigma))
+    with _config_errors("asset model"):
+        corr = np.eye(net.n) if cfg.corr is None else np.asarray(cfg.corr, dtype=float)
         return GbmParams(a_t=a_t, sigma=sigma, r=cfg.r, tau=cfg.tau, corr=corr)
-    except ValueError as exc:
-        raise ConfigError(f"bad asset model: {exc}") from exc
 
 
 def _load_net(cfg: ExperimentConfig) -> FirmNetwork:
@@ -413,13 +425,12 @@ def run_local_compare(cfg: ExperimentConfig, out=None) -> list[list]:
     gbm = _gbm_from_config(cfg, net)
     fp_cfg = cfg.fixed_point_config()
 
-    L = cholesky_factor(gbm.corr)
     size = _chunk_size(n)
     stats = []
     solvent = np.zeros(n)
     for start in range(0, cfg.draws, size):
         z = normal_variates(cfg.seed, min(size, cfg.draws - start), n, start=start)
-        sol = solve_claims_batch(net, sample_terminal(gbm, z, L), fp_cfg)
+        sol = solve_claims_batch(net, sample_terminal(gbm, z), fp_cfg)
         stats.append(_RunningStat.from_samples(dxda_batch(net, sol.xi)[:, n:, :]))
         solvent += sol.xi.sum(axis=0)
     u_d = _tree_merge(stats)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import ClaimVector, FirmNetwork, SolvencyVector
+from .network import ClaimVector, FirmNetwork, SolvencyVector, firm_value
 
 __all__ = [
     "FixedPointConfig",
@@ -80,13 +80,12 @@ class BatchSolution:
 
 def eval_g(net: FirmNetwork, a, claims: ClaimVector) -> ClaimVector:
     """One application of the valuation map at claims x."""
-    a = np.asarray(a, dtype=float)
-    v = a + net.m_s @ claims.s + net.m_d @ claims.r
+    v = firm_value(net, claims, a)
     return ClaimVector(s=np.maximum(0.0, v - net.d), r=np.minimum(net.d, v))
 
 
-def _picard(net, a, cfg, s0, r0):
-    """Iteration core over (B, n) arrays.
+def _picard(net, a, cfg):
+    """Iteration core over (B, n) arrays, from the lower start s = 0, r = min(d, a).
 
     Returns (s, r, v, xi, iterations, residuals).  The returned
     claims are the iterate at which the residual ||g(x) - x|| was measured,
@@ -95,7 +94,7 @@ def _picard(net, a, cfg, s0, r0):
     d = net.d
     ms_t = net.m_s.T
     md_t = net.m_d.T
-    s, r = s0, r0
+    s, r = np.zeros_like(a), np.minimum(d, a)
     for it in range(1, cfg.max_iter + 1):
         v = a + s @ ms_t + r @ md_t
         s_new = np.maximum(0.0, v - d)
@@ -116,31 +115,25 @@ def _picard(net, a, cfg, s0, r0):
     )
 
 
-def solve_claims_batch(net: FirmNetwork, a, cfg: FixedPointConfig = DEFAULT_CONFIG,
-                       x0=None) -> BatchSolution:
+def solve_claims_batch(net: FirmNetwork, a,
+                       cfg: FixedPointConfig = DEFAULT_CONFIG) -> BatchSolution:
     """Solve the fixed point for each row of a (B, n) scenario array."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
     if a.shape[1] != net.n:
         raise ValueError(f"scenario array has {a.shape[1]} columns, network has {net.n} firms")
     if np.any(a <= 0.0):
         raise ValueError("external asset values must be strictly positive")
-    if x0 is None:
-        s0 = np.zeros_like(a)
-        r0 = np.minimum(net.d, a)
-    else:
-        s0 = np.array(np.broadcast_to(x0[0], a.shape), dtype=float)
-        r0 = np.array(np.broadcast_to(x0[1], a.shape), dtype=float)
-    s, r, v, xi, it, resid = _picard(net, a, cfg, s0, r0)
+    s, r, v, xi, it, resid = _picard(net, a, cfg)
     return BatchSolution(s=s, r=r, v=v, xi=xi, iterations=it, residuals=resid)
 
 
-def solve_claims(net: FirmNetwork, a, cfg: FixedPointConfig = DEFAULT_CONFIG,
-                 x0: ClaimVector | None = None) -> FixedPointSolution:
+def solve_claims(net: FirmNetwork, a,
+                 cfg: FixedPointConfig = DEFAULT_CONFIG) -> FixedPointSolution:
     """Solve the valuation fixed point for one asset vector a > 0."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
     if a.shape[0] != 1:
         raise ValueError(f"expected one asset vector, got {a.shape[0]} rows")
-    sol = solve_claims_batch(net, a, cfg, x0=None if x0 is None else (x0.s, x0.r))
+    sol = solve_claims_batch(net, a, cfg)
     return FixedPointSolution(
         claims=ClaimVector(s=sol.s[0], r=sol.r[0]),
         xi=SolvencyVector(sol.xi[0]),
@@ -151,6 +144,4 @@ def solve_claims(net: FirmNetwork, a, cfg: FixedPointConfig = DEFAULT_CONFIG,
 
 def solvency(net: FirmNetwork, a, claims: ClaimVector) -> SolvencyVector:
     """Solvency indicators at given claims: 1 iff v_i > d_i (ties insolvent)."""
-    a = np.asarray(a, dtype=float)
-    v = a + net.m_s @ claims.s + net.m_d @ claims.r
-    return SolvencyVector((v > net.d).astype(float))
+    return SolvencyVector((firm_value(net, claims, a) > net.d).astype(float))

@@ -13,40 +13,40 @@ no matter how the work is chunked or threaded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import ndtri
 
+from .network import _frozen_array
+
 __all__ = [
     "GbmParams",
-    "cholesky_factor",
     "normal_variates",
     "sample_terminal",
     "terminal_partials",
 ]
 
 
-def _frozen(values) -> np.ndarray:
-    arr = np.array(values, dtype=float)
-    arr.setflags(write=False)
-    return arr
-
-
 @dataclass(frozen=True)
 class GbmParams:
-    """Current asset values, volatilities, short rate, horizon, correlation."""
+    """Current asset values, volatilities, short rate, horizon, correlation.
+
+    chol, the lower Cholesky factor of corr, is computed once here, so the
+    accepted correlation matrices are exactly those the sampler can use.
+    """
 
     a_t: np.ndarray
     sigma: np.ndarray
     r: float
     tau: float
     corr: np.ndarray
+    chol: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        a_t = _frozen(np.atleast_1d(self.a_t))
-        sigma = _frozen(np.atleast_1d(self.sigma))
-        corr = _frozen(self.corr)
+        a_t = _frozen_array(np.atleast_1d(self.a_t))
+        sigma = _frozen_array(np.atleast_1d(self.sigma))
+        corr = _frozen_array(self.corr)
         n = a_t.shape[0]
         if not (np.all(np.isfinite(a_t)) and np.all(np.isfinite(sigma))
                 and np.isfinite(self.r) and np.isfinite(self.tau)):
@@ -63,37 +63,25 @@ class GbmParams:
             raise ValueError("correlation matrix must be symmetric")
         if not np.allclose(np.diag(corr), 1.0, atol=1e-12):
             raise ValueError("correlation matrix must have unit diagonal")
-        # full PSD check happens at factorization; reject the clearly indefinite
-        if np.linalg.eigvalsh(corr).min() < -1e-8:
-            raise ValueError("correlation matrix is not positive semi-definite")
+        try:
+            chol = np.linalg.cholesky(corr)
+        except np.linalg.LinAlgError:
+            # perfectly correlated blocks sit on the PSD boundary; one 1e-12 diagonal
+            # bump factors them without changing the sampled law at double precision
+            try:
+                chol = np.linalg.cholesky(corr + 1e-12 * np.eye(n))
+            except np.linalg.LinAlgError as exc:
+                raise ValueError("correlation matrix is not positive semi-definite") from exc
         object.__setattr__(self, "a_t", a_t)
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "r", float(self.r))
         object.__setattr__(self, "tau", float(self.tau))
         object.__setattr__(self, "corr", corr)
+        object.__setattr__(self, "chol", _frozen_array(chol))
 
     @property
     def n(self) -> int:
         return self.a_t.shape[0]
-
-
-def cholesky_factor(corr: np.ndarray, jitter: float = 1e-12) -> np.ndarray:
-    """Lower Cholesky factor with one jitter retry for boundary matrices.
-
-    Perfectly correlated blocks sit on the PSD boundary and make the plain
-    factorization fail; a single diagonal bump of `jitter` resolves those
-    while leaving the sampled law unchanged at double precision.
-    """
-    corr = np.asarray(corr, dtype=float)
-    try:
-        return np.linalg.cholesky(corr)
-    except np.linalg.LinAlgError:
-        pass
-    bumped = corr + jitter * np.eye(corr.shape[0])
-    try:
-        return np.linalg.cholesky(bumped)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("correlation matrix is not positive semi-definite") from exc
 
 
 def _words_per_draw(n: int) -> int:
@@ -116,27 +104,21 @@ def normal_variates(seed: int, count: int, n: int, start: int = 0) -> np.ndarray
     return ndtri(np.maximum(u, np.finfo(float).tiny))
 
 
-def sample_terminal(params: GbmParams, z: np.ndarray,
-                    L: np.ndarray | None = None) -> np.ndarray:
+def sample_terminal(params: GbmParams, z: np.ndarray) -> np.ndarray:
     """Map standard normals z (..., n) to terminal asset values A_T."""
-    if L is None:
-        L = cholesky_factor(params.corr)
-    y = np.asarray(z, dtype=float) @ L.T
+    y = np.asarray(z, dtype=float) @ params.chol.T
     drift = (params.r - 0.5 * params.sigma**2) * params.tau
     return params.a_t * np.exp(drift + np.sqrt(params.tau) * params.sigma * y)
 
 
-def terminal_partials(params: GbmParams, z: np.ndarray, a_T: np.ndarray,
-                      L: np.ndarray | None = None):
+def terminal_partials(params: GbmParams, z: np.ndarray, a_T: np.ndarray):
     """Pathwise derivatives (da_t, dsigma, dr, dtau) of A_T, each shaped like a_T.
 
     da_t and dsigma are per asset (dA_T^i / da_t^i, dA_T^i / dsigma_i); all
     four differentiate the sampling map at fixed z, which is the correct
     coupling for pathwise Greek estimators.
     """
-    if L is None:
-        L = cholesky_factor(params.corr)
-    y = np.asarray(z, dtype=float) @ L.T
+    y = np.asarray(z, dtype=float) @ params.chol.T
     sig = params.sigma
     tau = params.tau
     sqrt_tau = np.sqrt(tau)

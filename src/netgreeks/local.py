@@ -17,7 +17,7 @@ import numpy as np
 from .blackscholes import d_pair, norm_cdf, put_delta, put_price
 from .fixpoint import ConvergenceError, FixedPointConfig, DEFAULT_CONFIG
 from .network import FirmNetwork
-from .sensitivity import SensitivityError
+from .sensitivity import _require_debt_only, _solve
 
 __all__ = [
     "LocalValuationState",
@@ -27,32 +27,30 @@ __all__ = [
     "independent_default_delta",
 ]
 
-
-def _require_debt_only(net: FirmNetwork) -> None:
-    if np.any(net.m_s != 0.0):
-        raise ValueError("local approximation is defined for pure debt cross-holdings (m_s = 0)")
+_WHAT = "local approximation"
 
 
-def _put_price_ext(spot, strike, r, tau, vol):
-    """Put value extended continuously to non-positive spot (certain default)."""
+def _extended(fn, spot, strike, r, tau, vol, defaulted):
+    """fn(spot, strike, r, tau, vol) where spot > 0, else its certain-default value.
+
+    Put-adjusted firm values may reach zero or below; there the option
+    quantity has its continuous limit `defaulted`.
+    """
     spot = np.asarray(spot, dtype=float)
-    safe = np.maximum(spot, 1e-300)
-    value = put_price(safe, strike, r, tau, vol)
-    return np.where(spot > 0.0, value, strike * np.exp(-r * tau) - spot)
+    value = fn(np.maximum(spot, 1e-300), strike, r, tau, vol)
+    return np.where(spot > 0.0, value, defaulted)
 
 
-def _put_delta_ext(spot, strike, r, tau, vol):
-    spot = np.asarray(spot, dtype=float)
-    safe = np.maximum(spot, 1e-300)
-    value = put_delta(safe, strike, r, tau, vol)
-    return np.where(spot > 0.0, value, -1.0)
+def _default_prob(spot, strike, r, tau, vol):
+    _, d_minus = d_pair(spot, strike, r, tau, vol)
+    return norm_cdf(-d_minus)
 
 
-def _default_prob_ext(spot, strike, r, tau, vol):
-    spot = np.asarray(spot, dtype=float)
-    safe = np.maximum(spot, 1e-300)
-    _, d_minus = d_pair(safe, strike, r, tau, vol)
-    return np.where(spot > 0.0, norm_cdf(-d_minus), 1.0)
+def _probabilities(pd) -> np.ndarray:
+    pd = np.asarray(pd, dtype=float)
+    if np.any((pd < 0.0) | (pd > 1.0)):
+        raise ValueError("default probabilities must lie in [0, 1]")
+    return pd
 
 
 @dataclass(frozen=True)
@@ -75,7 +73,7 @@ def local_fixed_point(net: FirmNetwork, a_t, r: float, tau: float, firm_vol,
     debt, with the counterparty's firm volatility.  Equity may go negative
     here; it is a book value, not a limited-liability claim.
     """
-    _require_debt_only(net)
+    _require_debt_only(net, _WHAT)
     a_t = np.asarray(a_t, dtype=float)
     firm_vol = np.broadcast_to(np.asarray(firm_vol, dtype=float), (net.n,)).copy()
     if np.any(firm_vol <= 0.0) or not tau > 0.0:
@@ -83,11 +81,12 @@ def local_fixed_point(net: FirmNetwork, a_t, r: float, tau: float, firm_vol,
     d = net.d
     equity = a_t - d
     for _ in range(cfg.max_iter):
-        put = _put_price_ext(equity + d, d, r, tau, firm_vol)
+        spot = equity + d
+        put = _extended(put_price, spot, d, r, tau, firm_vol, d * np.exp(-r * tau) - spot)
         new = a_t + net.m_d @ (d - put) - d
         resid = np.abs(new - equity).max()
         if resid <= cfg.tol:
-            pd = _default_prob_ext(new + d, d, r, tau, firm_vol)
+            pd = _extended(_default_prob, new + d, d, r, tau, firm_vol, 1.0)
             return LocalValuationState(equity=new, pd=pd, firm_vol=firm_vol,
                                        r=float(r), tau=float(tau))
         equity = new
@@ -104,14 +103,10 @@ def local_delta(state: LocalValuationState, net: FirmNetwork) -> np.ndarray:
     counterparties in distress while staying near the identity when every
     counterparty is safe.
     """
-    _require_debt_only(net)
-    pdelta = _put_delta_ext(state.equity + net.d, net.d, state.r, state.tau,
-                            state.firm_vol)
-    lhs = np.eye(net.n) + net.m_d * pdelta[None, :]
-    try:
-        return np.linalg.solve(lhs, np.eye(net.n))
-    except np.linalg.LinAlgError as exc:
-        raise SensitivityError(f"singular local sensitivity system: {exc}") from exc
+    _require_debt_only(net, _WHAT)
+    pdelta = _extended(put_delta, state.equity + net.d, net.d, state.r, state.tau,
+                       state.firm_vol, -1.0)
+    return _solve(np.eye(net.n) + net.m_d * pdelta[None, :], np.eye(net.n))
 
 
 def marginal_contagion(net: FirmNetwork, pd, shock) -> np.ndarray:
@@ -121,16 +116,9 @@ def marginal_contagion(net: FirmNetwork, pd, shock) -> np.ndarray:
     holding only when the issuer defaults (probability pd, treated as
     independent across firms).
     """
-    _require_debt_only(net)
-    pd = np.asarray(pd, dtype=float)
-    shock = np.asarray(shock, dtype=float)
-    if np.any((pd < 0.0) | (pd > 1.0)):
-        raise ValueError("default probabilities must lie in [0, 1]")
-    lhs = np.eye(net.n) - net.m_d * pd[None, :]
-    try:
-        return np.linalg.solve(lhs, shock)
-    except np.linalg.LinAlgError as exc:
-        raise SensitivityError(f"singular contagion system: {exc}") from exc
+    _require_debt_only(net, _WHAT)
+    pd = _probabilities(pd)
+    return _solve(np.eye(net.n) - net.m_d * pd[None, :], np.asarray(shock, dtype=float))
 
 
 def independent_default_delta(net: FirmNetwork, pd) -> np.ndarray:
@@ -140,12 +128,6 @@ def independent_default_delta(net: FirmNetwork, pd) -> np.ndarray:
     whenever each pd_i is 0 or 1 (deterministic pattern), an approximation
     otherwise because joint defaults are correlated through the network.
     """
-    _require_debt_only(net)
-    pd = np.asarray(pd, dtype=float)
-    if np.any((pd < 0.0) | (pd > 1.0)):
-        raise ValueError("default probabilities must lie in [0, 1]")
-    lhs = np.eye(net.n) - pd[:, None] * net.m_d
-    try:
-        return np.linalg.solve(lhs, np.diag(pd))
-    except np.linalg.LinAlgError as exc:
-        raise SensitivityError(f"singular contagion system: {exc}") from exc
+    _require_debt_only(net, _WHAT)
+    pd = _probabilities(pd)
+    return _solve(np.eye(net.n) - pd[:, None] * net.m_d, np.diag(pd))

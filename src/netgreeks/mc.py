@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .fixpoint import DEFAULT_CONFIG, ConvergenceError, FixedPointConfig, solve_claims_batch
-from .gbm import GbmParams, cholesky_factor, normal_variates, sample_terminal, terminal_partials
+from .gbm import GbmParams, normal_variates, sample_terminal, terminal_partials
 from .network import FirmNetwork
 from .sensitivity import dxda_batch
 
@@ -38,6 +38,10 @@ __all__ = [
 MC_CHUNK = 8192
 # cap chunk memory for large networks; depends on n only, never on threads
 _CHUNK_BUDGET = 2_097_152
+
+
+# a draw is a boundary hit when some firm value lies within this fraction of its debt
+_BOUNDARY_REL = 1e-9
 
 
 def _chunk_size(n: int) -> int:
@@ -158,9 +162,9 @@ class GreekReport:
         Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n")
 
 
-def _mc_chunk(net, gbm, L, cfg, seed, start, count, boundary_rel, want_greeks):
+def _mc_chunk(net, gbm, cfg, seed, start, count, want_greeks):
     z = normal_variates(seed, count, gbm.n, start=start)
-    a_T = sample_terminal(gbm, z, L)
+    a_T = sample_terminal(gbm, z)
     try:
         sol = solve_claims_batch(net, a_T, cfg)
     except ConvergenceError as exc:
@@ -171,12 +175,12 @@ def _mc_chunk(net, gbm, L, cfg, seed, start, count, boundary_rel, want_greeks):
         ) from exc
     x = np.hstack([sol.s, sol.r])
     disc = np.exp(-gbm.r * gbm.tau)
-    boundary = int(np.any(np.abs(sol.v - net.d) <= boundary_rel * net.d, axis=1).sum())
+    boundary = int(np.any(np.abs(sol.v - net.d) <= _BOUNDARY_REL * net.d, axis=1).sum())
 
     out = {"price": disc * x, "solvent": sol.xi}
     if want_greeks:
         dxda = dxda_batch(net, sol.xi)
-        da_t, dsigma, dr, dtau = terminal_partials(gbm, z, a_T, L)
+        da_t, dsigma, dr, dtau = terminal_partials(gbm, z, a_T)
         delta = disc * dxda * da_t[:, None, :]
         vega = disc * dxda * dsigma[:, None, :]
         out["delta"] = delta
@@ -192,18 +196,17 @@ def _mc_chunk(net, gbm, L, cfg, seed, start, count, boundary_rel, want_greeks):
     return {name: _RunningStat.from_samples(arr) for name, arr in out.items()}, boundary
 
 
-def _run_chunks(net, gbm, draws, seed, cfg, boundary_rel, want_greeks, threads):
+def _run_chunks(net, gbm, draws, seed, cfg, want_greeks, threads):
     if net.n != gbm.n:
         raise ValueError(f"network has {net.n} firms, asset model has {gbm.n}")
     if draws < 2:
         raise ValueError("need at least 2 draws for standard errors")
-    L = cholesky_factor(gbm.corr)
     size = _chunk_size(gbm.n)
     tasks = [(start, min(size, draws - start)) for start in range(0, draws, size)]
 
     def work(task):
         start, count = task
-        return _mc_chunk(net, gbm, L, cfg, seed, start, count, boundary_rel, want_greeks)
+        return _mc_chunk(net, gbm, cfg, seed, start, count, want_greeks)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -218,10 +221,9 @@ def _run_chunks(net, gbm, draws, seed, cfg, boundary_rel, want_greeks, threads):
 
 
 def price_claims(net: FirmNetwork, gbm: GbmParams, draws: int, seed: int,
-                 cfg: FixedPointConfig = DEFAULT_CONFIG,
-                 boundary_rel: float = 1e-9, threads: int = 1) -> PriceResult:
+                 cfg: FixedPointConfig = DEFAULT_CONFIG, threads: int = 1) -> PriceResult:
     """Discounted claim prices by plain Monte Carlo."""
-    stats, boundary = _run_chunks(net, gbm, draws, seed, cfg, boundary_rel,
+    stats, boundary = _run_chunks(net, gbm, draws, seed, cfg,
                                   want_greeks=False, threads=threads)
     price = stats["price"]
     return PriceResult(price=price.mean, se=price.se, draws=draws, seed=seed,
@@ -229,15 +231,14 @@ def price_claims(net: FirmNetwork, gbm: GbmParams, draws: int, seed: int,
 
 
 def mc_greeks(net: FirmNetwork, gbm: GbmParams, draws: int, seed: int,
-              cfg: FixedPointConfig = DEFAULT_CONFIG,
-              boundary_rel: float = 1e-9, threads: int = 1) -> GreekReport:
+              cfg: FixedPointConfig = DEFAULT_CONFIG, threads: int = 1) -> GreekReport:
     """Prices plus delta, vega, theta, rho and systemic aggregates.
 
-    boundary_rel flags draws with any firm value within boundary_rel * d_i
-    of its default boundary, where the one-sided sensitivities make the
-    pathwise estimator locally biased; hits are counted, not dropped.
+    Draws with any firm value within _BOUNDARY_REL * d_i of its default
+    boundary, where the one-sided sensitivities make the pathwise estimator
+    locally biased, are counted in boundary_hits, not dropped.
     """
-    stats, boundary = _run_chunks(net, gbm, draws, seed, cfg, boundary_rel,
+    stats, boundary = _run_chunks(net, gbm, draws, seed, cfg,
                                   want_greeks=True, threads=threads)
     solvent = stats["solvent"]
     return GreekReport(

@@ -21,6 +21,9 @@ __all__ = [
 ]
 
 
+_MAX_RESAMPLES = 100
+
+
 class SinkhornError(RuntimeError):
     """Row/column balancing failed for the given support pattern."""
 
@@ -62,11 +65,11 @@ def sinkhorn_balance(m: np.ndarray, row_target: float, col_target: float,
 
 
 def er_network(n: int, k_mean: float, w_d: float, seed: int, d: float = 1.0,
-               sinkhorn: bool = False, max_resamples: int = 100) -> FirmNetwork:
+               sinkhorn: bool = False) -> FirmNetwork:
     """One random debt network; equity holdings are zero.
 
     With sinkhorn=True, adjacency patterns whose balancing fails are
-    resampled (fresh edges, same stream) up to max_resamples times.
+    resampled (fresh edges, same stream) up to _MAX_RESAMPLES times.
     """
     if n < 2:
         raise ValueError("need at least two firms")
@@ -78,7 +81,7 @@ def er_network(n: int, k_mean: float, w_d: float, seed: int, d: float = 1.0,
     if not d > 0.0:
         raise ValueError("debt must be strictly positive")
     rng = np.random.default_rng(seed)
-    for _ in range(max_resamples):
+    for _ in range(_MAX_RESAMPLES):
         adj = rng.random((n, n)) < p
         np.fill_diagonal(adj, False)
         m_d = _column_scaled(adj, w_d)
@@ -88,4 +91,4 @@ def er_network(n: int, k_mean: float, w_d: float, seed: int, d: float = 1.0,
             except SinkhornError:
                 continue
         return FirmNetwork(m_s=np.zeros((n, n)), m_d=m_d, d=np.full(n, d))
-    raise SinkhornError(f"no balanceable adjacency pattern in {max_resamples} resamples")
+    raise SinkhornError(f"no balanceable adjacency pattern in {_MAX_RESAMPLES} resamples")

@@ -59,15 +59,16 @@ class SensitivityError(RuntimeError):
 
 
 def _xi_array(xi, n: int) -> np.ndarray:
-    if isinstance(xi, SolvencyVector):
-        arr = xi.xi
-    else:
-        arr = np.asarray(xi, dtype=float)
-    if arr.shape != (n,):
-        raise ValueError(f"solvency vector has shape {arr.shape}, expected ({n},)")
-    if not np.all((arr == 0.0) | (arr == 1.0)):
-        raise ValueError("solvency entries must be 0 or 1")
-    return arr
+    if not isinstance(xi, SolvencyVector):
+        xi = SolvencyVector(xi)
+    if xi.n != n:
+        raise ValueError(f"solvency vector has {xi.n} entries, expected {n}")
+    return xi.xi
+
+
+def _require_debt_only(net: FirmNetwork, what: str) -> None:
+    if np.any(net.m_s != 0.0):
+        raise ValueError(f"{what} is defined for pure debt cross-holdings (m_s = 0)")
 
 
 def _system(net: FirmNetwork, xi_batch: np.ndarray) -> np.ndarray:
@@ -140,8 +141,7 @@ def threat_index(net: FirmNetwork, xi) -> np.ndarray:
     zero; an isolated insolvent firm scores one; holdings of distressed
     debt amplify the score along chains of distress.
     """
-    if np.any(net.m_s != 0.0):
-        raise ValueError("threat index is defined for pure debt cross-holdings (m_s = 0)")
+    _require_debt_only(net, "threat index")
     xi = _xi_array(xi, net.n)
     return _column_sums(net, xi, 1.0 - xi)
 

@@ -19,15 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blackscholes import norm_cdf, norm_pdf
+from .blackscholes import call_price, d_pair, norm_cdf, norm_pdf
 from .gbm import GbmParams
-from .network import FirmNetwork, symmetric_network
+from .network import symmetric_network
 
 __all__ = [
     "SymmetricParams",
     "SymmetricGreeks",
     "symmetric_expost",
-    "d_plus_minus",
     "symmetric_price",
     "symmetric_greeks",
     "symmetric_pi",
@@ -72,11 +71,6 @@ class SymmetricGreeks:
     rho_s: float
     rho_r: float
 
-    def as_dict(self) -> dict:
-        return {k: getattr(self, k) for k in
-                ("delta_s", "delta_r", "vega_s", "vega_r",
-                 "theta_s", "theta_r", "rho_s", "rho_r")}
-
 
 def symmetric_expost(a, p: SymmetricParams):
     """Ex-post per-firm equity, recovery and solvency at realized assets a.
@@ -94,18 +88,11 @@ def symmetric_expost(a, p: SymmetricParams):
     return s, r, xi
 
 
-def d_plus_minus(p: SymmetricParams):
-    """Standardized log-moneyness pair for strike (1 - w_d) d."""
-    srt = p.sigma * np.sqrt(p.tau)
-    d_plus = (np.log(p.a_t / p.strike) + (p.r + 0.5 * p.sigma**2) * p.tau) / srt
-    return d_plus, d_plus - srt
-
-
 def symmetric_price(p: SymmetricParams):
     """Time-t equity and debt values (s_t, r_t), probability-weighted form."""
-    d_plus, d_minus = d_plus_minus(p)
+    d_plus, d_minus = d_pair(p.a_t, p.strike, p.r, p.tau, p.sigma)
     disc_k = p.strike * np.exp(-p.r * p.tau)
-    s_t = (p.a_t * norm_cdf(d_plus) - disc_k * norm_cdf(d_minus)) / (1.0 - p.w_s)
+    s_t = call_price(p.a_t, p.strike, p.r, p.tau, p.sigma) / (1.0 - p.w_s)
     r_t = (p.a_t * norm_cdf(-d_plus) + disc_k * norm_cdf(d_minus)) / (1.0 - p.w_d)
     return float(s_t), float(r_t)
 
@@ -119,7 +106,7 @@ def symmetric_greeks(p: SymmetricParams) -> SymmetricGreeks:
     opposite after the same reweighting: cross-holdings redistribute the
     underlying asset's sensitivities between the two claim classes.
     """
-    d_plus, d_minus = d_plus_minus(p)
+    d_plus, d_minus = d_pair(p.a_t, p.strike, p.r, p.tau, p.sigma)
     k = p.strike
     disc_k = k * np.exp(-p.r * p.tau)
     sqrt_tau = np.sqrt(p.tau)
@@ -148,7 +135,7 @@ def symmetric_pi(p: SymmetricParams) -> float:
     w_s/(1 - w_s) when solvency is certain and 1/(1 - w_d) - 1 when default
     is certain.
     """
-    _, d_minus = d_plus_minus(p)
+    _, d_minus = d_pair(p.a_t, p.strike, p.r, p.tau, p.sigma)
     return float(norm_cdf(d_minus) / (1.0 - p.w_s)
                  + norm_cdf(-d_minus) / (1.0 - p.w_d) - 1.0)
 

@@ -101,6 +101,55 @@ def test_nonfinite_input_is_config_error(tmp_path, capsys):
     assert "finite" in capsys.readouterr().err
 
 
+def test_correlation_without_cholesky_factor_is_config_error(tmp_path, capsys):
+    # eigenvalue -2e-9 has no Cholesky factor even after the 1e-12 bump; it
+    # is rejected with the asset model, not inside the Monte Carlo chunks
+    net_path = tmp_path / "net.json"
+    save_network(FirmNetwork(m_s=np.zeros((2, 2)), m_d=np.zeros((2, 2)),
+                             d=np.ones(2)), net_path)
+    cfg = _write(tmp_path, "greeks.json", {
+        "kind": "greeks", "network": str(net_path), "a_t": 1.0, "sigma": 0.4,
+        "corr": [[1.0, 1.0 + 2e-9], [1.0 + 2e-9, 1.0]], "draws": 64, "seed": 1,
+    })
+    assert main(["greeks", "--config", cfg, "--out", str(tmp_path / "g.json")]) == 2
+    assert "definite" in capsys.readouterr().err
+
+
+SMALL = {
+    "er-sweep": {"k_mean": [0.5], "w_d": [0.5], "a0": [1.0], "sigma": 0.4,
+                 "n": 4, "networks": 2, "draws": 16},
+    "two-firm": {"a0": 1.0, "w_d": 0.4, "sigma": 0.4, "d": 1.0, "draws": 16},
+    "symmetric-grid": {"a0": [0.5, 1.0], "w_s": 0.2, "w_d": 0.4, "sigma": 0.4},
+}
+
+
+@pytest.mark.parametrize("kind,overrides", [
+    ("er-sweep", {"w_d": [1.0]}),
+    ("er-sweep", {"n": 1}),
+    ("two-firm", {"w_d": 1.0}),
+    ("symmetric-grid", {"w_d": [0.4, 1.0]}),
+])
+def test_out_of_range_network_is_config_error(tmp_path, capsys, kind, overrides):
+    cfg = _write(tmp_path, "cfg.json", {"kind": kind, **SMALL[kind], **overrides})
+    assert main([kind, "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 2
+    assert "config error: bad " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind,overrides", [
+    ("two-firm", {"w_d": [0.2, 0.6]}),
+    ("two-firm", {"sigma": [0.3, 0.5]}),
+    ("two-firm", {"a0": [1.0, 2.0]}),
+    ("er-sweep", {"sigma": [0.3, 0.5]}),
+])
+def test_single_valued_key_with_several_values_is_config_error(tmp_path, capsys,
+                                                               kind, overrides):
+    cfg = _write(tmp_path, "cfg.json", {"kind": kind, **SMALL[kind], **overrides})
+    out = tmp_path / "o.csv"
+    assert main([kind, "--config", cfg, "--out", str(out)]) == 2
+    assert "exactly one value" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_seed_override_changes_bytes(tmp_path, capsys):
     cfg = _write(tmp_path, "two.json", {
         "kind": "two-firm", "a0": 1.0, "w_d": 0.4, "sigma": 0.4, "d": 1.0,

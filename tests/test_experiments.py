@@ -70,6 +70,24 @@ def test_from_dict_validates():
         ExperimentConfig.from_dict({**good, "networks": 0})
 
 
+def test_from_dict_rejects_several_values_for_single_valued_keys():
+    two = {"kind": "two-firm", "a0": 1.0, "w_d": 0.4, "sigma": 0.4, "d": 1.0}
+    for key in ("a0", "w_d", "sigma"):
+        for values in ([], [0.2, 0.6]):
+            with pytest.raises(ConfigError, match=f"{key} takes exactly one value"):
+                ExperimentConfig.from_dict({**two, key: values})
+    sweep = {"kind": "er-sweep", "k_mean": [0.5, 1.0], "w_d": [0.2, 0.4],
+             "a0": [1.0, 1.1], "sigma": [0.3, 0.5], "n": 4, "networks": 2}
+    with pytest.raises(ConfigError, match="sigma takes exactly one value"):
+        ExperimentConfig.from_dict(sweep)
+    # grids stay grids where the runner iterates them
+    cfg = ExperimentConfig.from_dict({**sweep, "sigma": [0.3]})
+    assert cfg.k_mean == (0.5, 1.0) and cfg.w_d == (0.2, 0.4) and cfg.a0 == (1.0, 1.1)
+    grid = {"kind": "symmetric-grid", "a0": [0.5, 1.0], "w_s": [0.0, 0.2],
+            "w_d": [0.0, 0.4], "sigma": [0.3, 0.5]}
+    assert ExperimentConfig.from_dict(grid).sigma == (0.3, 0.5)
+
+
 def test_from_json_errors(tmp_path):
     with pytest.raises(ConfigError, match="cannot read"):
         ExperimentConfig.from_json(tmp_path / "missing.json")

@@ -1,11 +1,12 @@
 """Terminal sampling: Cholesky handling, counter-based draws, pathwise partials."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from netgreeks.gbm import (
     GbmParams,
-    cholesky_factor,
     normal_variates,
     sample_terminal,
     terminal_partials,
@@ -17,6 +18,11 @@ def _params(n=2, r=0.0, tau=1.0, sigma=0.4, corr=None):
         corr = np.eye(n)
     return GbmParams(a_t=np.ones(n), sigma=np.full(n, sigma), r=r, tau=tau,
                      corr=corr)
+
+
+def _chol(corr):
+    corr = np.asarray(corr, dtype=float)
+    return _params(n=corr.shape[0], corr=corr).chol
 
 
 # --- parameter validation ---------------------------------------------------
@@ -52,6 +58,24 @@ def test_params_reject_bad_correlation():
         GbmParams(a_t=np.ones(3), sigma=np.full(3, 0.4), r=0.0, tau=1.0, corr=indef)
 
 
+def test_params_reject_correlation_without_cholesky_factor():
+    # eigenvalue -2e-9: above the old eigvalsh cut-off of -1e-8, but no
+    # Cholesky factor exists even after the 1e-12 diagonal bump, so the
+    # sampler could not use it; the asset model must reject it up front
+    corr = np.array([[1.0, 1.0 + 2e-9], [1.0 + 2e-9, 1.0]])
+    assert np.linalg.eigvalsh(corr).min() == pytest.approx(-2e-9, rel=1e-3)
+    with pytest.raises(ValueError, match="definite"):
+        _params(corr=corr)
+
+
+def test_params_chol_is_derived_and_read_only():
+    chol = {f.name: f for f in dataclasses.fields(GbmParams)}["chol"]
+    assert not (chol.init or chol.repr or chol.compare)
+    p = _params(corr=np.array([[1.0, 0.5], [0.5, 1.0]]))
+    assert not p.chol.flags.writeable
+    np.testing.assert_allclose(p.chol @ p.chol.T, p.corr, atol=1e-15)
+
+
 def test_params_shape_mismatch():
     with pytest.raises(ValueError, match="shapes"):
         GbmParams(a_t=[1.0, 1.0], sigma=[0.4], r=0.0, tau=1.0, corr=np.eye(2))
@@ -60,12 +84,12 @@ def test_params_shape_mismatch():
 # --- Cholesky ---------------------------------------------------------------
 
 def test_cholesky_identity():
-    np.testing.assert_array_equal(cholesky_factor(np.eye(4)), np.eye(4))
+    np.testing.assert_array_equal(_chol(np.eye(4)), np.eye(4))
 
 
 def test_cholesky_half_correlation():
     corr = np.array([[1.0, 0.5], [0.5, 1.0]])
-    L = cholesky_factor(corr)
+    L = _chol(corr)
     np.testing.assert_allclose(L, [[1.0, 0.0], [0.5, 0.8660254037844386]],
                                atol=1e-15)
     np.testing.assert_allclose(L @ L.T, corr, atol=1e-15)
@@ -75,7 +99,7 @@ def test_cholesky_comonotone_boundary_uses_jitter():
     # rank-one matrix of ones sits on the PSD boundary; factorization must
     # still succeed (single jitter retry) and reproduce the matrix
     ones = np.ones((3, 3))
-    L = cholesky_factor(ones)
+    L = _chol(ones)
     np.testing.assert_allclose(L @ L.T, ones, atol=1e-5)
     np.testing.assert_allclose(L[:, 0], 1.0, atol=1e-5)
 
@@ -83,7 +107,7 @@ def test_cholesky_comonotone_boundary_uses_jitter():
 def test_cholesky_rejects_indefinite():
     indef = np.array([[1.0, 2.0], [2.0, 1.0]])
     with pytest.raises(ValueError, match="definite"):
-        cholesky_factor(indef)
+        _chol(indef)
 
 
 # --- counter-based normals --------------------------------------------------
@@ -140,7 +164,7 @@ def test_correlated_draws_have_target_correlation():
     corr = np.array([[1.0, 0.7], [0.7, 1.0]])
     p = GbmParams(a_t=[1.0, 1.0], sigma=[0.4, 0.4], r=0.0, tau=1.0, corr=corr)
     z = normal_variates(13, 100_000, 2)
-    y = z @ cholesky_factor(corr).T
+    y = z @ p.chol.T
     assert abs(np.corrcoef(y.T)[0, 1] - 0.7) < 0.01
 
 
@@ -160,12 +184,11 @@ def test_partials_match_finite_differences():
     base = GbmParams(a_t=[1.1, 0.9], sigma=[0.35, 0.5], r=0.02, tau=1.4,
                      corr=corr)
     z = normal_variates(17, 50, 2)
-    L = cholesky_factor(corr)
-    da_t, dsigma, dr, dtau = terminal_partials(base, z, sample_terminal(base, z, L), L)
+    da_t, dsigma, dr, dtau = terminal_partials(base, z, sample_terminal(base, z))
 
     def a_T(a_t=base.a_t, sigma=base.sigma, r=base.r, tau=base.tau):
         p = GbmParams(a_t=a_t, sigma=sigma, r=r, tau=tau, corr=corr)
-        return sample_terminal(p, z, L)
+        return sample_terminal(p, z)
 
     h = 1e-6
     for i in range(2):

@@ -1,13 +1,14 @@
 """Closed-form symmetric oracle: branch solution, prices, Greeks, pi."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from netgreeks.blackscholes import call_price, norm_cdf, put_price
+from netgreeks.blackscholes import call_price, d_pair, norm_cdf, put_price
 from netgreeks.symmetric import (
     SymmetricGreeks,
     SymmetricParams,
-    d_plus_minus,
     symmetric_expost,
     symmetric_greeks,
     symmetric_mc_inputs,
@@ -17,6 +18,11 @@ from netgreeks.symmetric import (
 
 
 # --- independent oracle routes ------------------------------------------------
+
+def d_pm(p: SymmetricParams):
+    """Black-Scholes (d_plus, d_minus) at the effective strike (1 - w_d) d."""
+    return d_pair(p.a_t, p.strike, p.r, p.tau, p.sigma)
+
 
 def symmetric_price_bs(p: SymmetricParams):
     """Same prices as amplified Black-Scholes claims on the asset.
@@ -42,7 +48,7 @@ def delta_rho_conditional(p: SymmetricParams):
     Returns (delta_s, delta_r, rho_s, rho_r); agrees with symmetric_greeks
     to floating precision.
     """
-    d_plus, d_minus = d_plus_minus(p)
+    d_plus, d_minus = d_pm(p)
     disc = np.exp(-p.r * p.tau)
     # undiscounted conditional masses: E[A_T; solvent], E[A_T; insolvent]
     mass_solvent = p.a_t * np.exp(p.r * p.tau) * norm_cdf(d_plus)
@@ -129,7 +135,7 @@ def test_expost_vectorized():
 # --- d_pm ---------------------------------------------------------------------
 
 def test_d_pm_at_the_money_merton():
-    d_plus, d_minus = d_plus_minus(_p(w_s=0.0, w_d=0.0))
+    d_plus, d_minus = d_pm(_p(w_s=0.0, w_d=0.0))
     assert d_plus == pytest.approx(0.2, abs=1e-15)
     assert d_minus == pytest.approx(-0.2, abs=1e-15)
 
@@ -137,14 +143,14 @@ def test_d_pm_at_the_money_merton():
 def test_d_pm_at_default_boundary():
     p = _p(w_s=0.1, w_d=0.4, a_t=0.6, r=0.0, sigma=0.3, tau=4.0)
     assert p.a_t == pytest.approx(p.strike)
-    d_plus, d_minus = d_plus_minus(p)
+    d_plus, d_minus = d_pm(p)
     assert d_plus == pytest.approx(0.3)   # sigma sqrt(tau) / 2
     assert d_minus == pytest.approx(-0.3)
 
 
 @pytest.mark.parametrize("p", PARAM_GRID)
 def test_d_pm_spread_identity(p):
-    d_plus, d_minus = d_plus_minus(p)
+    d_plus, d_minus = d_pm(p)
     assert d_plus - d_minus == pytest.approx(p.sigma * np.sqrt(p.tau), rel=1e-14)
 
 
@@ -242,7 +248,7 @@ def test_conditional_expectation_route(p):
 
 def test_greeks_as_dict_round_trip():
     g = symmetric_greeks(_p())
-    d = g.as_dict()
+    d = dataclasses.asdict(g)
     assert SymmetricGreeks(**d) == g
 
 
