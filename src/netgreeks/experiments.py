@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -21,7 +22,8 @@ import numpy as np
 
 from .fixpoint import FixedPointConfig, solve_claims_batch
 from .gbm import GbmParams, normal_variates, sample_terminal
-from .local import independent_default_delta, local_delta, local_fixed_point, marginal_contagion
+from .local import (_checked_firm_vol, independent_default_delta, local_delta,
+                    local_fixed_point, marginal_contagion)
 from .mc import _chunk_size, _RunningStat, _tree_merge, mc_greeks, price_claims
 from .netgen import er_network
 from .network import FirmNetwork, load_network, validate_network
@@ -197,6 +199,12 @@ def _progress(msg: str) -> None:
     print(msg, file=sys.stderr, flush=True)
 
 
+def _clock(seconds: float) -> str:
+    minutes, secs = divmod(int(round(seconds)), 60)
+    hours, minutes = divmod(minutes, 60)
+    return f"{hours}:{minutes:02d}:{secs:02d}"
+
+
 def _task_seed(base: int, *tags: int) -> int:
     seq = np.random.SeedSequence(entropy=base, spawn_key=tuple(tags))
     return int(seq.generate_state(1, np.uint64)[0])
@@ -284,21 +292,24 @@ ER_SWEEP_HEADER = [
 
 
 def _member_aggregates(net, gbm, draws, seed, fp_cfg):
+    # one portfolio per block, the firm average of equity and of debt: the row
+    # needs only these two rows of dx*/da, one transposed solve per draw
     n = net.n
-    rep = mc_greeks(net, gbm, draws, seed, cfg=fp_cfg)
+    rep = mc_greeks(net, gbm, draws, seed, cfg=fp_cfg,
+                    weights=np.kron(np.eye(2), np.full((1, n), 1.0 / n)))
     return {
-        "s_price": rep.price[:n].mean(),
-        "r_price": rep.price[n:].mean(),
+        "s_price": rep.price[0],
+        "r_price": rep.price[1],
         "default_prob": rep.default_prob.mean(),
-        "delta_s": rep.delta[:n].sum() / n,
-        "delta_r": rep.delta[n:].sum() / n,
-        "vega_s": rep.vega[:n].sum() / n,
-        "vega_r": rep.vega[n:].sum() / n,
-        "theta_s": rep.theta[:n].mean(),
-        "theta_r": rep.theta[n:].mean(),
-        "rho_s": rep.rho[:n].mean(),
-        "rho_r": rep.rho[n:].mean(),
-        "pi": rep.pi.mean(),
+        "delta_s": rep.delta[0].sum(),
+        "delta_r": rep.delta[1].sum(),
+        "vega_s": rep.vega[0].sum(),
+        "vega_r": rep.vega[1].sum(),
+        "theta_s": rep.theta[0],
+        "theta_r": rep.theta[1],
+        "rho_s": rep.rho[0],
+        "rho_r": rep.rho[1],
+        "pi": rep.pi.sum(),
         "boundary_hits": rep.boundary_hits,
     }
 
@@ -317,6 +328,8 @@ def run_er_sweep(cfg: ExperimentConfig, out=None) -> list[list]:
         gbms = [GbmParams(a_t=np.full(n, a0), sigma=np.full(n, sigma), r=cfg.r,
                           tau=cfg.tau, corr=np.eye(n)) for a0 in cfg.a0]
     rows = []
+    total = len(cfg.k_mean) * len(cfg.w_d) * len(cfg.a0)
+    start = time.perf_counter()
     for ki, k_mean in enumerate(cfg.k_mean):
         for wi, w_d in enumerate(cfg.w_d):
             net_seeds = [_task_seed(cfg.seed, 0, ki, wi, m) for m in range(cfg.networks)]
@@ -355,8 +368,11 @@ def run_er_sweep(cfg: ExperimentConfig, out=None) -> list[list]:
                     mean["rho_s"] + mean["rho_r"],
                     mean["pi"], hits,
                 ])
+            elapsed = time.perf_counter() - start
+            eta = elapsed * (total - len(rows)) / len(rows)
             _progress(f"er-sweep: k_mean={k_mean:g} w_d={w_d:g} done "
-                      f"({len(rows)}/{len(cfg.k_mean) * len(cfg.w_d) * len(cfg.a0)} rows)")
+                      f"({len(rows)}/{total} rows, elapsed {_clock(elapsed)}, "
+                      f"ETA {_clock(eta)})")
     if out is not None:
         write_csv(out, ER_SWEEP_HEADER, rows)
     return rows
@@ -424,6 +440,9 @@ def run_local_compare(cfg: ExperimentConfig, out=None) -> list[list]:
     n = net.n
     gbm = _gbm_from_config(cfg, net)
     fp_cfg = cfg.fixed_point_config()
+    # the local approximations' inputs, checked before the Monte Carlo pass
+    with _config_errors("local approximation"):
+        _checked_firm_vol(net, cfg.firm_vol, cfg.tau)
 
     size = _chunk_size(n)
     stats = []

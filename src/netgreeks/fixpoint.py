@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import ClaimVector, FirmNetwork, SolvencyVector, firm_value
+from .network import ClaimVector, FirmNetwork, SolvencyVector, _ArrayEq, firm_value
 
 __all__ = [
     "FixedPointConfig",
@@ -66,8 +66,8 @@ class FixedPointSolution:
     residual: float
 
 
-@dataclass(frozen=True)
-class BatchSolution:
+@dataclass(frozen=True, eq=False)
+class BatchSolution(_ArrayEq):
     """Vectorized solution over a batch of asset scenarios (rows)."""
 
     s: np.ndarray            # (B, n)
@@ -99,15 +99,19 @@ def _picard(net, a, cfg):
         v = a + s @ ms_t + r @ md_t
         s_new = np.maximum(0.0, v - d)
         r_new = np.minimum(d, v)
-        resid = np.maximum(np.abs(s_new - s), np.abs(r_new - r)).max(axis=1)
+        step = np.maximum(np.abs(s_new - s), np.abs(r_new - r))
+        resid = step.max(axis=1)
         if resid.max() <= cfg.tol:
             xi = (v > d).astype(float)
             return s, r, v, xi, it, resid
         s, r = s_new, r_new
     worst = int(np.argmax(resid))
+    firms = np.flatnonzero(step[worst] > cfg.tol).tolist()
+    xi = "".join("1" if solvent else "0" for solvent in v[worst] > d)
     raise ConvergenceError(
         f"no convergence after {cfg.max_iter} iterations "
-        f"(worst scenario {worst}, residual {resid[worst]:.3e})",
+        f"(worst scenario {worst}, residual {resid[worst]:.3e}, "
+        f"unconverged firms {firms}, solvency pattern xi={xi})",
         claims=ClaimVector(s=s_new[worst], r=r_new[worst]),
         residual=float(resid[worst]),
         iterations=cfg.max_iter,

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtri
 
-from .network import _frozen_array
+from .network import _ArrayEq, _frozen_array
 
 __all__ = [
     "GbmParams",
@@ -28,8 +28,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GbmParams:
+@dataclass(frozen=True, eq=False)
+class GbmParams(_ArrayEq):
     """Current asset values, volatilities, short rate, horizon, correlation.
 
     chol, the lower Cholesky factor of corr, is computed once here, so the

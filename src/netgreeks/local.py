@@ -16,7 +16,7 @@ import numpy as np
 
 from .blackscholes import d_pair, norm_cdf, put_delta, put_price
 from .fixpoint import ConvergenceError, FixedPointConfig, DEFAULT_CONFIG
-from .network import FirmNetwork
+from .network import FirmNetwork, _ArrayEq
 from .sensitivity import _require_debt_only, _solve
 
 __all__ = [
@@ -53,8 +53,8 @@ def _probabilities(pd) -> np.ndarray:
     return pd
 
 
-@dataclass(frozen=True)
-class LocalValuationState:
+@dataclass(frozen=True, eq=False)
+class LocalValuationState(_ArrayEq):
     """Converged per-firm equity, default probability and firm volatility."""
 
     equity: np.ndarray
@@ -62,6 +62,22 @@ class LocalValuationState:
     firm_vol: np.ndarray
     r: float
     tau: float
+
+
+def _checked_firm_vol(net: FirmNetwork, firm_vol, tau: float) -> np.ndarray:
+    """Check what the local valuation needs; returns firm_vol, one per firm.
+
+    The network must be pure debt, firm_vol one value or one per firm, and
+    every volatility and tau finite and strictly positive.
+    """
+    _require_debt_only(net, _WHAT)
+    firm_vol = np.asarray(firm_vol, dtype=float)
+    if firm_vol.size not in (1, net.n):
+        raise ValueError(f"firm volatilities: expected 1 or {net.n} values, got {firm_vol.size}")
+    firm_vol = np.broadcast_to(firm_vol, (net.n,)).copy()
+    if not (np.all(np.isfinite(firm_vol) & (firm_vol > 0.0)) and 0.0 < tau < np.inf):
+        raise ValueError("firm volatilities and tau must be finite and strictly positive")
+    return firm_vol
 
 
 def local_fixed_point(net: FirmNetwork, a_t, r: float, tau: float, firm_vol,
@@ -73,11 +89,8 @@ def local_fixed_point(net: FirmNetwork, a_t, r: float, tau: float, firm_vol,
     debt, with the counterparty's firm volatility.  Equity may go negative
     here; it is a book value, not a limited-liability claim.
     """
-    _require_debt_only(net, _WHAT)
+    firm_vol = _checked_firm_vol(net, firm_vol, tau)
     a_t = np.asarray(a_t, dtype=float)
-    firm_vol = np.broadcast_to(np.asarray(firm_vol, dtype=float), (net.n,)).copy()
-    if np.any(firm_vol <= 0.0) or not tau > 0.0:
-        raise ValueError("firm volatilities and tau must be strictly positive")
     d = net.d
     equity = a_t - d
     for _ in range(cfg.max_iter):

@@ -24,8 +24,8 @@ import numpy as np
 
 from .fixpoint import DEFAULT_CONFIG, ConvergenceError, FixedPointConfig, solve_claims_batch
 from .gbm import GbmParams, normal_variates, sample_terminal, terminal_partials
-from .network import FirmNetwork
-from .sensitivity import dxda_batch
+from .network import FirmNetwork, _ArrayEq
+from .sensitivity import _portfolio_weights, dxda_batch
 
 __all__ = [
     "MC_CHUNK",
@@ -90,8 +90,8 @@ def _tree_merge(stats: list[_RunningStat]) -> _RunningStat:
     return stats[0]
 
 
-@dataclass
-class PriceResult:
+@dataclass(eq=False)
+class PriceResult(_ArrayEq):
     """Discounted claim prices, stacked (equity_1..n, debt_1..n)."""
 
     price: np.ndarray
@@ -110,8 +110,8 @@ class PriceResult:
         }
 
 
-@dataclass
-class GreekReport:
+@dataclass(eq=False)
+class GreekReport(_ArrayEq):
     """Prices and Greeks with standard errors.
 
     Vectors over claims have length 2n (equity block then debt block).
@@ -121,6 +121,12 @@ class GreekReport:
     per draw so their standard errors are valid.  pi is the undiscounted
     aggregate terminal-asset sensitivity per firm; delta_total its
     market-value counterpart 1' Delta.
+
+    From ``mc_greeks(..., weights=W)`` with W of shape (k, 2n), the rows are
+    the k portfolios instead of the 2n claims: price, theta, rho,
+    delta_uniform and vega_uniform have length k, delta and vega are
+    (k, n), and pi and delta_total sum over the portfolios (pi = 1' W dx*/da).
+    n stays the number of firms.
     """
 
     n: int
@@ -162,7 +168,7 @@ class GreekReport:
         Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n")
 
 
-def _mc_chunk(net, gbm, cfg, seed, start, count, want_greeks):
+def _mc_chunk(net, gbm, cfg, seed, start, count, want_greeks, weights):
     z = normal_variates(seed, count, gbm.n, start=start)
     a_T = sample_terminal(gbm, z)
     try:
@@ -174,12 +180,14 @@ def _mc_chunk(net, gbm, cfg, seed, start, count, want_greeks):
             iterations=exc.iterations, draw=start + (exc.draw or 0),
         ) from exc
     x = np.hstack([sol.s, sol.r])
+    if weights is not None:
+        x = x @ weights.T
     disc = np.exp(-gbm.r * gbm.tau)
     boundary = int(np.any(np.abs(sol.v - net.d) <= _BOUNDARY_REL * net.d, axis=1).sum())
 
     out = {"price": disc * x, "solvent": sol.xi}
     if want_greeks:
-        dxda = dxda_batch(net, sol.xi)
+        dxda = dxda_batch(net, sol.xi, weights=weights)
         da_t, dsigma, dr, dtau = terminal_partials(gbm, z, a_T)
         delta = disc * dxda * da_t[:, None, :]
         vega = disc * dxda * dsigma[:, None, :]
@@ -196,7 +204,7 @@ def _mc_chunk(net, gbm, cfg, seed, start, count, want_greeks):
     return {name: _RunningStat.from_samples(arr) for name, arr in out.items()}, boundary
 
 
-def _run_chunks(net, gbm, draws, seed, cfg, want_greeks, threads):
+def _run_chunks(net, gbm, draws, seed, cfg, want_greeks, threads, weights):
     if net.n != gbm.n:
         raise ValueError(f"network has {net.n} firms, asset model has {gbm.n}")
     if draws < 2:
@@ -206,7 +214,7 @@ def _run_chunks(net, gbm, draws, seed, cfg, want_greeks, threads):
 
     def work(task):
         start, count = task
-        return _mc_chunk(net, gbm, cfg, seed, start, count, want_greeks)
+        return _mc_chunk(net, gbm, cfg, seed, start, count, want_greeks, weights)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -223,23 +231,31 @@ def _run_chunks(net, gbm, draws, seed, cfg, want_greeks, threads):
 def price_claims(net: FirmNetwork, gbm: GbmParams, draws: int, seed: int,
                  cfg: FixedPointConfig = DEFAULT_CONFIG, threads: int = 1) -> PriceResult:
     """Discounted claim prices by plain Monte Carlo."""
-    stats, boundary = _run_chunks(net, gbm, draws, seed, cfg,
-                                  want_greeks=False, threads=threads)
+    stats, boundary = _run_chunks(net, gbm, draws, seed, cfg, want_greeks=False,
+                                  threads=threads, weights=None)
     price = stats["price"]
     return PriceResult(price=price.mean, se=price.se, draws=draws, seed=seed,
                        boundary_hits=boundary)
 
 
 def mc_greeks(net: FirmNetwork, gbm: GbmParams, draws: int, seed: int,
-              cfg: FixedPointConfig = DEFAULT_CONFIG, threads: int = 1) -> GreekReport:
+              cfg: FixedPointConfig = DEFAULT_CONFIG, threads: int = 1, *,
+              weights=None) -> GreekReport:
     """Prices plus delta, vega, theta, rho and systemic aggregates.
 
     Draws with any firm value within _BOUNDARY_REL * d_i of its default
     boundary, where the one-sided sensitivities make the pathwise estimator
     locally biased, are counted in boundary_hits, not dropped.
+
+    weights, a (k, 2n) matrix, prices k claim portfolios instead of the 2n
+    claims: every per-claim row of the report becomes a per-portfolio row
+    (see GreekReport), and dx*/da is reduced by one transposed solve per
+    draw (``sensitivity.dxda_batch``).
     """
-    stats, boundary = _run_chunks(net, gbm, draws, seed, cfg,
-                                  want_greeks=True, threads=threads)
+    if weights is not None:
+        weights = _portfolio_weights(weights, net.n)
+    stats, boundary = _run_chunks(net, gbm, draws, seed, cfg, want_greeks=True,
+                                  threads=threads, weights=weights)
     solvent = stats["solvent"]
     return GreekReport(
         n=net.n, draws=draws, seed=seed,

@@ -10,7 +10,7 @@ outside investors.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -129,8 +129,26 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class FirmNetwork:
+class _ArrayEq:
+    """Field-by-field equality for dataclasses with numpy array fields.
+
+    The dataclass-generated __eq__ compares tuples of fields, which asks for
+    the truth value of an elementwise array comparison and raises; here each
+    field compares with np.array_equal.  Fields with compare=False are
+    skipped, and instances stay unhashable.
+    """
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
+                   for f in fields(self) if f.compare)
+
+    __hash__ = None
+
+
+@dataclass(frozen=True, eq=False)
+class FirmNetwork(_ArrayEq):
     """Admissible cross-holding network: matrices m_s, m_d and debt vector d.
 
     Immutable after construction; invalid inputs raise NetworkError.
@@ -172,8 +190,8 @@ class FirmNetwork:
         }
 
 
-@dataclass(frozen=True)
-class ClaimVector:
+@dataclass(frozen=True, eq=False)
+class ClaimVector(_ArrayEq):
     """Equity values s and recovery debt values r, stacked as x = (s; r)."""
 
     s: np.ndarray
@@ -199,8 +217,8 @@ class ClaimVector:
         return np.concatenate([self.s, self.r])
 
 
-@dataclass(frozen=True)
-class SolvencyVector:
+@dataclass(frozen=True, eq=False)
+class SolvencyVector(_ArrayEq):
     """Indicator per firm: 1 where firm value strictly exceeds debt, else 0."""
 
     xi: np.ndarray

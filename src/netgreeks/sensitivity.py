@@ -11,9 +11,14 @@ and every claim sensitivity is a projection of its solution:
 
     u_s = ds*/da = diag(xi) dv/da,   u_d = dr*/da = (I - diag(xi)) dv/da.
 
-Column sums w^T dv/da come from the one transposed solve A(xi)^T y = w.
 This is the fictitious-default system of Eisenberg & Noe (2001), extended to
-equity cross-holdings.
+equity cross-holdings.  A portfolio of claims with weights (w_s; w_d) needs
+only one row of the solution, w_s^T u_s + w_d^T u_d = y^T with
+
+    A(xi)^T y = diag(xi) w_s + (I - diag(xi)) w_d,
+
+one transposed solve in place of the full inverse (the adjoint method of
+Giles & Glasserman, 2006).
 
 Writing A(xi) = I - B(xi), B(xi) = m_d + (m_s - m_d) diag(xi), gives
 dv/da = sum_k B(xi)^k: an exposure-weighted chain of holdings whose Neumann
@@ -41,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import FirmNetwork, SolvencyVector
+from .network import FirmNetwork, SolvencyVector, _ArrayEq
 
 __all__ = [
     "SensitivityError",
@@ -78,7 +83,8 @@ def _system(net: FirmNetwork, xi_batch: np.ndarray) -> np.ndarray:
     selecting (not mixing) the columns keeps each entry exact.
     """
     solvent = xi_batch[:, None, :] == 1.0
-    return np.eye(net.n) - np.where(solvent, net.m_s, net.m_d)
+    lhs = np.where(solvent, net.m_s, net.m_d)
+    return np.subtract(np.eye(net.n), lhs, out=lhs)
 
 
 def _solve(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -88,13 +94,16 @@ def _solve(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         raise SensitivityError(f"singular sensitivity system: {exc}") from exc
 
 
-def _column_sums(net: FirmNetwork, xi: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """w^T dv/da, by one transposed solve A(xi)^T y = w."""
-    return _solve(_system(net, xi[None])[0].T, w)
+def _portfolio_weights(weights, n: int) -> np.ndarray:
+    """A (k, 2n) matrix of claim portfolios, one per row."""
+    weights = np.asarray(weights, dtype=float)
+    if weights.ndim != 2 or weights.shape[1] != 2 * n:
+        raise ValueError(f"weights must be a (k, {2 * n}) matrix, got shape {weights.shape}")
+    return weights
 
 
-@dataclass(frozen=True)
-class ClaimsJacobian:
+@dataclass(frozen=True, eq=False)
+class ClaimsJacobian(_ArrayEq):
     """Sensitivities dx*/da (2n x n) at a fixed solvency pattern."""
 
     dxda: np.ndarray
@@ -115,19 +124,34 @@ class ClaimsJacobian:
         return self.dxda[self.n:]
 
 
-def dxda_batch(net: FirmNetwork, xi_batch: np.ndarray) -> np.ndarray:
-    """Stacked dx*/da = (u_s; u_d) for a (B, n) batch of solvency patterns -> (B, 2n, n)."""
+def dxda_batch(net: FirmNetwork, xi_batch: np.ndarray, *, weights=None) -> np.ndarray:
+    """Stacked dx*/da = (u_s; u_d) for a (B, n) batch of solvency patterns -> (B, 2n, n).
+
+    With weights, a (k, 2n) matrix whose rows are claim portfolios, returns
+    weights @ dx*/da -> (B, k, n) from one transposed solve with k
+    right-hand sides per pattern instead of the full inverse.
+    """
     xi_batch = np.asarray(xi_batch, dtype=float)
     lhs = _system(net, xi_batch)
-    dvda = _solve(lhs, np.broadcast_to(np.eye(net.n), lhs.shape))
     xi = xi_batch[:, :, None]
-    return np.concatenate([xi * dvda, (1.0 - xi) * dvda], axis=1)
+    if weights is None:
+        dvda = _solve(lhs, np.broadcast_to(np.eye(net.n), lhs.shape))
+        return np.concatenate([xi * dvda, (1.0 - xi) * dvda], axis=1)
+    weights = _portfolio_weights(weights, net.n)
+    w_s, w_d = weights[:, :net.n].T, weights[:, net.n:].T
+    y = _solve(lhs.transpose(0, 2, 1), xi * w_s + (1.0 - xi) * w_d)
+    return y.transpose(0, 2, 1)
 
 
 def claims_sensitivity(net: FirmNetwork, xi) -> ClaimsJacobian:
     """dx*/da away from the default boundary, by one linear solve."""
     xi_arr = _xi_array(xi, net.n)
     return ClaimsJacobian(dxda=dxda_batch(net, xi_arr[None])[0], xi=xi_arr)
+
+
+def _portfolio(net: FirmNetwork, xi, weights: np.ndarray) -> np.ndarray:
+    """weights^T dx*/da for one claim portfolio at one pattern -> (n,)."""
+    return dxda_batch(net, _xi_array(xi, net.n)[None], weights=weights[None])[0, 0]
 
 
 def threat_index(net: FirmNetwork, xi) -> np.ndarray:
@@ -142,13 +166,12 @@ def threat_index(net: FirmNetwork, xi) -> np.ndarray:
     debt amplify the score along chains of distress.
     """
     _require_debt_only(net, "threat index")
-    xi = _xi_array(xi, net.n)
-    return _column_sums(net, xi, 1.0 - xi)
+    return _portfolio(net, xi, np.concatenate([np.zeros(net.n), np.ones(net.n)]))
 
 
 def aggregate_impact(net: FirmNetwork, xi) -> np.ndarray:
     """Column sums 1^T dx*/da = 1^T A(xi)^{-1}: total claim-value response per asset shock."""
-    return _column_sums(net, _xi_array(xi, net.n), np.ones(net.n))
+    return _portfolio(net, xi, np.ones(2 * net.n))
 
 
 def outside_sensitivity(net: FirmNetwork, xi) -> np.ndarray:

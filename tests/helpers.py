@@ -85,3 +85,27 @@ def weighting_matrix(net, xi):
     """
     eye = np.eye(2 * net.n)
     return np.linalg.solve(eye - jacobian_g(net, xi), eye)
+
+
+def member_aggregates_from_report(rep):
+    """An er-sweep member's row entries reduced from the full GreekReport.
+
+    The oracle for ``experiments._member_aggregates``, which gets the same
+    numbers from the two block-average portfolios without the full report.
+    """
+    n = rep.n
+    return {
+        "s_price": rep.price[:n].mean(),
+        "r_price": rep.price[n:].mean(),
+        "default_prob": rep.default_prob.mean(),
+        "delta_s": rep.delta[:n].sum() / n,
+        "delta_r": rep.delta[n:].sum() / n,
+        "vega_s": rep.vega[:n].sum() / n,
+        "vega_r": rep.vega[n:].sum() / n,
+        "theta_s": rep.theta[:n].mean(),
+        "theta_r": rep.theta[n:].mean(),
+        "rho_s": rep.rho[:n].mean(),
+        "rho_r": rep.rho[n:].mean(),
+        "pi": rep.pi.mean(),
+        "boundary_hits": rep.boundary_hits,
+    }

@@ -208,6 +208,28 @@ def test_local_compare_writes_csv(tmp_path, capsys):
     assert len(out.read_text().splitlines()) == 10  # header + 3x3 pairs
 
 
+@pytest.mark.parametrize("network, firm_vol, message", [
+    ("example_network.json", 0.4, "pure debt"),      # equity cross-holdings
+    ("debt_network.json", 0.0, "firm volatilities"),
+    ("debt_network.json", [0.4, 0.4], "firm volatilities"),  # 3 firms
+])
+def test_local_compare_bad_local_inputs_fail_before_monte_carlo(tmp_path, capsys, monkeypatch,
+                                                                network, firm_vol, message):
+    import netgreeks.experiments as ex
+
+    def no_monte_carlo(*args, **kwargs):
+        raise AssertionError("the Monte Carlo pass ran before the input check")
+
+    monkeypatch.setattr(ex, "solve_claims_batch", no_monte_carlo)
+    cfg = _write(tmp_path, "local.json", {
+        "kind": "local-compare", "network": str(CONFIGS / network),
+        "a_t": 1.05, "sigma": 0.4, "firm_vol": firm_vol, "draws": 64, "seed": 2,
+    })
+    assert main(["local-compare", "--config", cfg, "--out", str(tmp_path / "l.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and message in err
+
+
 def test_unknown_subcommand_fails():
     with pytest.raises(SystemExit):
         main(["frobnicate", "--config", "x.json"])

@@ -1,6 +1,7 @@
 """Experiment configs, runners and deterministic CSV output."""
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from netgreeks.experiments import (
     ConfigError,
     ExperimentConfig,
     _grid,
+    _member_aggregates,
     _task_seed,
     run_er_sweep,
     run_experiment,
@@ -23,6 +25,8 @@ from netgreeks.experiments import (
     run_validate,
     write_csv,
 )
+
+from helpers import member_aggregates_from_report
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -252,6 +256,47 @@ def test_er_sweep_members_replay_from_task_seed(monkeypatch, tmp_path):
     for k_mean, w_d, seed, net in built:
         replay = er_network(cfg.n, k_mean, w_d, seed=seed, d=cfg.d)
         np.testing.assert_array_equal(replay.m_d, net.m_d)
+
+
+def test_member_aggregates_match_full_report_reductions():
+    # the two block-average portfolios give every member entry of the row,
+    # against the old reductions of the full (2n, n) report
+    from netgreeks.fixpoint import FixedPointConfig
+    from netgreeks.gbm import GbmParams
+    from netgreeks.mc import mc_greeks
+    from netgreeks.netgen import er_network
+
+    fp_cfg = FixedPointConfig()
+    worst = 0.0
+    for i, (k_mean, w_d, a0, r) in enumerate(
+            [(0.0, 0.5, 1.0, 0.0), (2.0, 0.0, 1.1, 0.0), (2.0, 0.6, 0.9, 0.0),
+             (4.0, 0.4, 1.0833, 0.02), (1.0, 0.6, 1.2, 0.05)]):
+        n = 7
+        net = er_network(n, k_mean, w_d, seed=_task_seed(5, 0, i), d=1.0)
+        gbm = GbmParams(a_t=np.full(n, a0), sigma=np.full(n, 0.4), r=r, tau=1.0,
+                        corr=np.eye(n))
+        seed = _task_seed(5, 1, i)
+        got = _member_aggregates(net, gbm, 300, seed, fp_cfg)
+        want = member_aggregates_from_report(mc_greeks(net, gbm, 300, seed, cfg=fp_cfg))
+        assert got.keys() == want.keys()
+        assert got["boundary_hits"] == want["boundary_hits"]
+        for key in want:
+            scale = abs(want[key])
+            err = abs(got[key] - want[key]) / (scale if scale > 1e-12 else 1.0)
+            worst = max(worst, err)
+            assert err <= 1e-12, (k_mean, w_d, key, got[key], want[key])
+    print(f"member aggregates: worst relative deviation {worst:.1e}")
+
+
+def test_er_sweep_progress_reports_elapsed_and_eta(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    run_er_sweep(_sweep_cfg(), out=out)
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 4
+    clock = r"\d+:\d\d:\d\d"
+    pattern = rf"er-sweep: k_mean=\S+ w_d=\S+ done \((\d)/4 rows, elapsed {clock}, ETA {clock}\)"
+    assert [int(re.fullmatch(pattern, line).group(1)) for line in lines] == [1, 2, 3, 4]
+    assert lines[-1].endswith("ETA 0:00:00)")
 
 
 # --- price / greeks / local-compare ----------------------------------------------

@@ -199,6 +199,18 @@ def test_nonconvergence_reports_global_draw_index():
     assert "draw" in str(err.value)
 
 
+def test_nonconvergence_names_unconverged_firms_and_pattern():
+    net = ng.symmetric_network(2, 0.0, 0.9)
+    gbm = GbmParams(a_t=[0.05, 0.05], sigma=[0.3, 0.3], r=0.0, tau=1.0,
+                    corr=np.eye(2))
+    cfg = FixedPointConfig(tol=1e-12, max_iter=3)
+    with pytest.raises(ConvergenceError) as err:
+        mc_greeks(net, gbm, 1000, seed=17, cfg=cfg)
+    # both deeply insolvent firms are still moving when the cap is hit
+    assert "unconverged firms [0, 1]" in str(err.value)
+    assert "solvency pattern xi=00" in str(err.value)
+
+
 def test_input_validation():
     net, gbm = _merton_inputs()
     with pytest.raises(ValueError, match="draws"):
@@ -219,3 +231,30 @@ def test_report_serialization(tmp_path):
     np.testing.assert_allclose(data["price"], rep.price)
     np.testing.assert_allclose(data["delta"], rep.delta)
     assert "delta_se" in data and "pi_se" in data and "boundary_hits" in data
+
+
+def test_weighted_report_is_projection_of_full_report():
+    # weights W turn every per-claim row into a per-portfolio row: the
+    # weighted report equals W applied to the full report's means, and pi /
+    # delta_total sum over the portfolios
+    rng = np.random.default_rng(53)
+    net = random_network(rng, 4)
+    gbm = GbmParams(a_t=np.full(4, 1.2), sigma=np.full(4, 0.4), r=0.03, tau=1.0,
+                    corr=np.eye(4))
+    full = mc_greeks(net, gbm, 3000, seed=19)
+    W = np.vstack([np.kron(np.eye(2), np.full((1, 4), 0.25)), rng.random((1, 8))])
+    rep = mc_greeks(net, gbm, 3000, seed=19, weights=W)
+    assert rep.n == 4 and rep.price.shape == (3,) and rep.delta.shape == (3, 4)
+    for name in ("price", "delta", "vega", "theta", "rho"):
+        np.testing.assert_allclose(getattr(rep, name), W @ getattr(full, name),
+                                   rtol=1e-12, atol=1e-15)
+    for name in ("delta", "vega"):
+        np.testing.assert_allclose(getattr(rep, name + "_uniform"),
+                                   W @ getattr(full, name + "_uniform"), rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(rep.delta_total, rep.delta.sum(axis=0), rtol=1e-12, atol=1e-15)
+    # with the single all-claims portfolio, pi is the full report's 1' dx*/da
+    ones = mc_greeks(net, gbm, 3000, seed=19, weights=np.ones((1, 8)))
+    np.testing.assert_allclose(ones.pi, full.pi, rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(ones.delta_total, full.delta_total, rtol=1e-12, atol=1e-15)
+    np.testing.assert_array_equal(rep.default_prob, full.default_prob)
+    assert rep.boundary_hits == full.boundary_hits

@@ -184,3 +184,26 @@ def test_load_network_rejects_inconsistent_n(tmp_path):
     path.write_text(json.dumps(obj))
     with pytest.raises(ng.NetworkError):
         ng.load_network(path)
+
+
+def test_array_dataclasses_compare_without_raising():
+    from netgreeks.gbm import GbmParams
+
+    def gbm(sigma):
+        return GbmParams(a_t=[1.0, 1.2], sigma=[0.4, sigma], r=0.0, tau=1.0, corr=np.eye(2))
+
+    pairs = [
+        (ng.symmetric_network(3, 0.1, 0.2), ng.symmetric_network(3, 0.1, 0.2),
+         ng.symmetric_network(3, 0.1, 0.3)),
+        (gbm(0.3), gbm(0.3), gbm(0.5)),
+        (ng.ClaimVector(s=[1.0, 0.0], r=[1.0, 0.5]), ng.ClaimVector(s=[1.0, 0.0], r=[1.0, 0.5]),
+         ng.ClaimVector(s=[1.0, 0.0], r=[1.0, 0.4])),
+        (ng.SolvencyVector([1.0, 0.0]), ng.SolvencyVector([1.0, 0.0]),
+         ng.SolvencyVector([1.0, 1.0])),
+    ]
+    for a, same, other in pairs:
+        assert a == same and not (a != same)
+        assert a != other and not (a == other)
+        assert a != "not a dataclass"
+    # different shapes compare unequal, not raise
+    assert ng.symmetric_network(2, 0.1, 0.2) != ng.symmetric_network(3, 0.1, 0.2)

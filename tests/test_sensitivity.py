@@ -274,20 +274,68 @@ def test_mixed_network_monotonicity_violations_are_generic():
     assert broken > 0  # the counterexamples are generic, not knife-edge
 
 
+class _SingularStub:
+    # an upstream admissibility violation: column sums of one with full
+    # insolvency make A(xi) = I - m_d exactly singular
+    n = 2
+    m_s = np.zeros((2, 2))
+    m_d = np.array([[0.0, 1.0], [1.0, 0.0]])
+    d = np.ones(2)
+
+
 def test_singular_system_raises_sensitivity_error():
-    # simulate an upstream admissibility violation: column sums of one with
-    # full insolvency make A(xi) = I - m_d exactly singular
     from netgreeks.sensitivity import dxda_batch
 
-    class Stub:
-        n = 2
-        m_s = np.zeros((2, 2))
-        m_d = np.array([[0.0, 1.0], [1.0, 0.0]])
-        d = np.ones(2)
-
+    Stub = _SingularStub
     with pytest.raises(ng.SensitivityError):
         ng.claims_sensitivity(Stub(), np.zeros(2))
     with pytest.raises(ng.SensitivityError):
         dxda_batch(Stub(), np.zeros((3, 2)))
     with pytest.raises(ng.SensitivityError):
         ng.aggregate_impact(Stub(), np.zeros(2))
+
+
+def test_singular_system_raises_on_weighted_path():
+    from netgreeks.sensitivity import dxda_batch
+
+    with pytest.raises(ng.SensitivityError):
+        dxda_batch(_SingularStub(), np.zeros((3, 2)), weights=np.eye(4))
+    with pytest.raises(ng.SensitivityError):
+        dxda_batch(_SingularStub(), np.zeros((3, 2)), weights=np.ones((1, 4)))
+    with pytest.raises(ng.SensitivityError):
+        ng.threat_index(_SingularStub(), np.zeros(2))
+
+
+def _block_average(n):
+    return np.kron(np.eye(2), np.full((1, n), 1.0 / n))
+
+
+def test_weighted_dxda_batch_is_projection_of_full():
+    # one transposed solve with k right-hand sides equals W @ dx*/da, on
+    # coupled networks with every kind of pattern
+    from netgreeks.sensitivity import dxda_batch
+
+    rng = np.random.default_rng(47)
+    worst = 0.0
+    for _ in range(30):
+        n = int(rng.integers(2, 9))
+        net = random_network(rng, n)
+        xi_batch = (rng.random((16, n)) < rng.uniform(0.2, 0.8)).astype(float)
+        xi_batch[0], xi_batch[1] = 1.0, 0.0
+        full = dxda_batch(net, xi_batch)
+        for W in (np.eye(2 * n), _block_average(n), rng.random((3, 2 * n))):
+            got = dxda_batch(net, xi_batch, weights=W)
+            want = W @ full
+            assert got.shape == (16, W.shape[0], n)
+            err = np.abs(got - want).max() / np.abs(want).max()
+            worst = max(worst, err)
+    assert worst <= 1e-13, worst
+
+
+def test_weighted_dxda_batch_rejects_bad_weights():
+    from netgreeks.sensitivity import dxda_batch
+
+    net = ng.symmetric_network(3, 0.2, 0.4)
+    for bad in (np.ones(6), np.ones((2, 5)), np.ones((1, 2, 6))):
+        with pytest.raises(ValueError, match="weights"):
+            dxda_batch(net, np.ones((2, 3)), weights=bad)
