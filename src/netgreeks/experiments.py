@@ -293,7 +293,7 @@ ER_SWEEP_HEADER = [
 
 def _member_aggregates(net, gbm, draws, seed, fp_cfg):
     # one portfolio per block, the firm average of equity and of debt: the row
-    # needs only these two rows of dx*/da, one transposed solve per draw
+    # needs only these two rows of dx*/da, one transposed solve per pattern
     n = net.n
     rep = mc_greeks(net, gbm, draws, seed, cfg=fp_cfg,
                     weights=np.kron(np.eye(2), np.full((1, n), 1.0 / n)))
@@ -445,12 +445,13 @@ def run_local_compare(cfg: ExperimentConfig, out=None) -> list[list]:
         _checked_firm_vol(net, cfg.firm_vol, cfg.tau)
 
     size = _chunk_size(n)
+    debt_rows = np.hstack([np.zeros((n, n)), np.eye(n)])
     stats = []
     solvent = np.zeros(n)
     for start in range(0, cfg.draws, size):
         z = normal_variates(cfg.seed, min(size, cfg.draws - start), n, start=start)
         sol = solve_claims_batch(net, sample_terminal(gbm, z), fp_cfg)
-        stats.append(_RunningStat.from_samples(dxda_batch(net, sol.xi)[:, n:, :]))
+        stats.append(_RunningStat.from_samples(dxda_batch(net, sol.xi, weights=debt_rows)))
         solvent += sol.xi.sum(axis=0)
     u_d = _tree_merge(stats)
     exact = u_d.mean
@@ -489,7 +490,7 @@ def run_validate(cfg: ExperimentConfig, out=None) -> bool:
     lines = [f"network: {cfg.network}"]
     for name in ("shapes_consistent", "no_self_holdings", "no_short_positions",
                  "sub_stochastic_columns", "strict_external_holding",
-                 "positive_debt", "strict_all_columns"):
+                 "positive_debt", "unique_fixed_point", "strict_all_columns"):
         lines.append(f"  {name}: {getattr(report, name)}")
     lines.append("OK" if report.ok else "FAILED: " + "; ".join(report.failures))
     text = "\n".join(lines)

@@ -250,7 +250,7 @@ def mc_greeks(net: FirmNetwork, gbm: GbmParams, draws: int, seed: int,
     weights, a (k, 2n) matrix, prices k claim portfolios instead of the 2n
     claims: every per-claim row of the report becomes a per-portfolio row
     (see GreekReport), and dx*/da is reduced by one transposed solve per
-    draw (``sensitivity.dxda_batch``).
+    distinct solvency pattern (``sensitivity.dxda_batch``).
     """
     if weights is not None:
         weights = _portfolio_weights(weights, net.n)

@@ -52,6 +52,7 @@ class ValidationReport:
     sub_stochastic_columns: bool
     strict_external_holding: bool
     positive_debt: bool
+    unique_fixed_point: bool
     strict_all_columns: bool
     failures: tuple[str, ...]
 
@@ -60,13 +61,41 @@ class ValidationReport:
         return not self.failures
 
 
+def _closed_ring(m_s: np.ndarray, m_d: np.ndarray) -> np.ndarray:
+    """The largest set of firms each of which has its equity or its debt held
+    in full by firms of the set, as sorted indices; empty if there is none.
+
+    Let H(xi) take column j from m_s if firm j is solvent and from m_d if
+    not.  With column sums at most one, some H(xi) has spectral radius one
+    exactly when such a ring exists: value can circulate in it without ever
+    reaching an outside investor.  Without a ring every H(xi) has spectral
+    radius below one; for pure-debt networks that is rho(m_d) < 1, and
+    rho(max(m_s, m_d)) < 1 rules out a ring.  The ring is the greatest
+    fixed point of dropping the firms whose fully held claims all have a
+    holder outside the candidate set.
+    """
+    claims = [(m > 0.0, m.sum(axis=0) >= 1.0) for m in (m_s, m_d)]
+    ring = claims[0][1] | claims[1][1]
+    while True:
+        keep = np.zeros_like(ring)
+        for held, full in claims:
+            keep |= full & ~np.any(held & ~ring[:, None], axis=0)
+        keep &= ring
+        if np.array_equal(keep, ring):
+            return np.flatnonzero(ring)
+        ring = keep
+
+
 def validate_network(m_s, m_d, d) -> ValidationReport:
     """Check raw holding matrices and debt for admissibility.
 
     Total on finite inputs: never raises, always returns a report.  The
     rules are: zero diagonals, no negative holdings, column sums at most
     one, at least one column of each matrix strictly below one (some value
-    leaks to outside investors), and strictly positive debt.
+    leaks to outside investors), strictly positive debt, and no closed
+    holding ring (``_closed_ring``).  The last makes the fixed point unique
+    and every sensitivity system A(xi) = I - H(xi) and each of its
+    principal blocks invertible.
     """
     failures = []
     m_s = np.asarray(m_s, dtype=float)
@@ -83,7 +112,7 @@ def validate_network(m_s, m_d, d) -> ValidationReport:
         failures.append(
             f"shape mismatch: m_s {m_s.shape}, m_d {m_d.shape}, d {d.shape}"
         )
-        return ValidationReport(False, False, False, False, False, False, False,
+        return ValidationReport(False, False, False, False, False, False, False, False,
                                 tuple(failures))
 
     no_self = not (np.any(np.diag(m_s) != 0.0) or np.any(np.diag(m_d) != 0.0))
@@ -109,6 +138,11 @@ def validate_network(m_s, m_d, d) -> ValidationReport:
     if not positive_debt:
         failures.append("debt-positive: nominal debt must be strictly positive")
 
+    ring = _closed_ring(m_s, m_d)
+    if ring.size:
+        failures.append(f"closed holding ring: firms {ring.tolist()} each have their equity "
+                        "or debt held in full inside the ring, so the fixed point is not unique")
+
     strict_all = bool(np.all(cs_s < 1.0) and np.all(cs_d < 1.0))
 
     return ValidationReport(
@@ -118,6 +152,7 @@ def validate_network(m_s, m_d, d) -> ValidationReport:
         sub_stochastic_columns=sub_stochastic,
         strict_external_holding=strict_external,
         positive_debt=positive_debt,
+        unique_fixed_point=not ring.size,
         strict_all_columns=strict_all,
         failures=tuple(failures),
     )

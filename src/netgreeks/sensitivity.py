@@ -20,11 +20,27 @@ only one row of the solution, w_s^T u_s + w_d^T u_d = y^T with
 one transposed solve in place of the full inverse (the adjoint method of
 Giles & Glasserman, 2006).
 
+Only part of A(xi) needs a solve.  Column j of A(xi) is e_j - h_j, where
+h_j = m_s[:, j] if firm j is solvent and m_d[:, j] if not.  Where h_j = 0
+(every solvent firm of a pure-debt network, and every firm that nobody
+holds) it is an identity column.  With J the live firms (h_j != 0), P the
+rest and H the selected holdings, the adjoint system splits into
+
+    y_P = c_P,   (I - H_JJ)^T y_J = c_J + H_PJ^T c_P,
+
+the fictitious-default reduction to the default set (Eisenberg & Noe, 2001)
+with the unheld firms folded in.  y depends on xi alone, so ``dxda_batch``
+solves once per distinct pattern of a batch and stacks the live blocks of
+equal size |J| into one LU; every solve with A(xi) in the package goes
+through it.
+
 Writing A(xi) = I - B(xi), B(xi) = m_d + (m_s - m_d) diag(xi), gives
 dv/da = sum_k B(xi)^k: an exposure-weighted chain of holdings whose Neumann
 series accumulates the impact of a marginal asset change along every holding
-path.  B(xi) is non-negative, and with every column sum of m_s and m_d
-strictly below one the series converges.  Comparing two solvency patterns
+path.  B(xi) is non-negative, and an admissible network has no closed
+holding ring (``network.validate_network``), so B(xi) and each of its blocks
+H_JJ have spectral radius below one: the series converges and every solve
+above is nonsingular.  Comparing two solvency patterns
 xi_lo <= xi_hi (more firms solvent) then gives three monotonicity results:
 
 * if m_s >= m_d entrywise, u_s is entrywise non-decreasing in xi;
@@ -76,15 +92,18 @@ def _require_debt_only(net: FirmNetwork, what: str) -> None:
         raise ValueError(f"{what} is defined for pure debt cross-holdings (m_s = 0)")
 
 
-def _system(net: FirmNetwork, xi_batch: np.ndarray) -> np.ndarray:
-    """A(xi) for a (B, n) batch of 0/1 patterns -> (B, n, n).
+def _distinct_patterns(xi_batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of a (B, n) 0/1 batch -> (solvent (U, n) bool, row -> pattern (B,)).
 
-    Column j holds m_s[:, j] when firm j is solvent and m_d[:, j] otherwise;
-    selecting (not mixing) the columns keeps each entry exact.
+    Rows are keyed by their packed bits and the keys sorted, so the distinct
+    patterns and their order depend only on the set of rows, not on the
+    order of the batch.
     """
-    solvent = xi_batch[:, None, :] == 1.0
-    lhs = np.where(solvent, net.m_s, net.m_d)
-    return np.subtract(np.eye(net.n), lhs, out=lhs)
+    solvent = xi_batch == 1.0
+    keys = np.packbits(solvent, axis=1)
+    keys = keys.view(np.dtype((np.void, keys.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return solvent[first], inverse
 
 
 def _solve(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -92,6 +111,40 @@ def _solve(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return np.linalg.solve(lhs, rhs)
     except np.linalg.LinAlgError as exc:
         raise SensitivityError(f"singular sensitivity system: {exc}") from exc
+
+
+def _adjoint_solve(net: FirmNetwork, solvent: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """y = A(xi)^{-T} c for U distinct patterns: (U, n) bool, (U, n, k) -> (U, n, k).
+
+    Only the live block J of each pattern is solved; its other rows are
+    y_P = c_P.  Patterns are batched by |J|, one stacked LU per size.
+    """
+    u, n, k = c.shape
+    live = np.where(solvent, np.any(net.m_s != 0.0, axis=0), np.any(net.m_d != 0.0, axis=0))
+    # c_J + H_PJ^T c_P on the live rows, for every pattern at once
+    c_p = np.where(live[:, :, None], 0.0, c).transpose(1, 0, 2).reshape(n, u * k)
+    held_s, held_d = ((m.T @ c_p).reshape(n, u, k).transpose(1, 0, 2) for m in (net.m_s, net.m_d))
+    rhs = c + np.where(solvent[:, :, None], held_s, held_d)
+    # firm j's column of m_d, then of m_s, as rows j and n + j, flattened
+    h_t = np.concatenate([net.m_d.T, net.m_s.T]).ravel()
+    column = solvent.astype(np.intp)
+    size = live.sum(axis=1)
+    y = c.copy()
+    for width in np.unique(size[size > 0]):
+        rows = np.flatnonzero(size == width)
+        J = np.nonzero(live[rows])[1].reshape(rows.size, width)
+        # lhs[g, a, b] = [a == b] - H[J_b, J_a], the block (I - H_JJ)^T
+        start = (column[rows[:, None], J] * n + J) * n
+        lhs = -h_t[start[:, :, None] + J[:, None, :]]
+        lhs[:, np.arange(width), np.arange(width)] += 1.0
+        try:
+            y[rows[:, None], J] = _solve(lhs, rhs[rows[:, None], J])
+        except SensitivityError as exc:
+            bad = int(np.argmin(np.abs(np.linalg.det(lhs))))
+            pattern = "".join("1" if s else "0" for s in solvent[rows[bad]])
+            raise SensitivityError(f"{exc} at solvency pattern {pattern} "
+                                   f"(live firms {J[bad].tolist()})") from exc
+    return y
 
 
 def _portfolio_weights(weights, n: int) -> np.ndarray:
@@ -128,19 +181,17 @@ def dxda_batch(net: FirmNetwork, xi_batch: np.ndarray, *, weights=None) -> np.nd
     """Stacked dx*/da = (u_s; u_d) for a (B, n) batch of solvency patterns -> (B, 2n, n).
 
     With weights, a (k, 2n) matrix whose rows are claim portfolios, returns
-    weights @ dx*/da -> (B, k, n) from one transposed solve with k
-    right-hand sides per pattern instead of the full inverse.
+    weights @ dx*/da -> (B, k, n); without, weights = I_2n.  This is the one
+    solve with A(xi): each distinct pattern of the batch gets one reduced
+    adjoint solve A(xi)^T y = Xi w_s + (I - Xi) w_d with k right-hand sides
+    on its live firms J (see the module docstring), and the rows of the
+    batch gather their pattern's result.
     """
-    xi_batch = np.asarray(xi_batch, dtype=float)
-    lhs = _system(net, xi_batch)
-    xi = xi_batch[:, :, None]
-    if weights is None:
-        dvda = _solve(lhs, np.broadcast_to(np.eye(net.n), lhs.shape))
-        return np.concatenate([xi * dvda, (1.0 - xi) * dvda], axis=1)
-    weights = _portfolio_weights(weights, net.n)
-    w_s, w_d = weights[:, :net.n].T, weights[:, net.n:].T
-    y = _solve(lhs.transpose(0, 2, 1), xi * w_s + (1.0 - xi) * w_d)
-    return y.transpose(0, 2, 1)
+    n = net.n
+    weights = np.eye(2 * n) if weights is None else _portfolio_weights(weights, n)
+    solvent, inverse = _distinct_patterns(np.asarray(xi_batch, dtype=float))
+    c = np.where(solvent[:, :, None], weights[:, :n].T, weights[:, n:].T)
+    return _adjoint_solve(net, solvent, c).transpose(0, 2, 1)[inverse]
 
 
 def claims_sensitivity(net: FirmNetwork, xi) -> ClaimsJacobian:

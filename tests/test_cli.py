@@ -74,6 +74,23 @@ def test_validate_exit_codes(tmp_path, capsys):
     assert "FAILED" in capsys.readouterr().out
 
 
+def test_closed_holding_ring_is_rejected_at_the_boundary(tmp_path, capsys):
+    # two firms holding all of each other's equity and debt have no unique
+    # fixed point: validate fails it, and loading it is a configuration error
+    # instead of 10,000 Picard steps and a solver failure
+    m = [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
+    net_path = _write(tmp_path, "ring.json", {"n": 3, "m_s": m, "m_d": m, "d": [1.0] * 3})
+    cfg = _write(tmp_path, "validate.json", {"kind": "validate", "network": net_path})
+    assert main(["validate", "--config", cfg]) == 1
+    out = capsys.readouterr().out
+    assert "unique_fixed_point: False" in out and "closed holding ring" in out
+    cfg = _write(tmp_path, "price.json", {
+        "kind": "price", "network": net_path, "a_t": 1.0, "sigma": 0.4, "draws": 64,
+    })
+    assert main(["price", "--config", cfg, "--out", str(tmp_path / "p.json")]) == 2
+    assert "closed holding ring" in capsys.readouterr().err
+
+
 def test_solver_failure_exit_code(tmp_path, capsys):
     # deep mutual insolvency with nearly-stochastic debt holdings: a handful
     # of Picard steps cannot reach the fixed point

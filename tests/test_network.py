@@ -1,4 +1,5 @@
 import json
+from itertools import product
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import netgreeks as ng
+from netgreeks.sensitivity import dxda_batch
 from helpers import random_network
 
 
@@ -61,6 +63,59 @@ def test_validate_strict_flag_is_informational():
     report = ng.validate_network(np.zeros((3, 3)), m, np.ones(3))
     assert report.ok
     assert not report.strict_all_columns
+
+
+def _ring_network():
+    # firms 0 and 1 each hold all of the other's equity and debt; firm 2 is
+    # held by no one, so some value leaks outside, but none from the ring
+    m = np.zeros((3, 3))
+    m[0, 1] = m[1, 0] = 1.0
+    return m, m.copy(), np.ones(3)
+
+
+def test_validate_rejects_closed_holding_ring():
+    report = ng.validate_network(*_ring_network())
+    assert report.strict_external_holding and report.sub_stochastic_columns
+    assert not report.ok
+    assert not report.unique_fixed_point
+    assert any("closed holding ring: firms [0, 1]" in f for f in report.failures)
+    with pytest.raises(ng.NetworkError, match="closed holding ring"):
+        ng.FirmNetwork(*_ring_network())
+
+
+def _full_columns(rng, n):
+    """Holdings whose columns are empty, leak (sum <= 0.9) or are held in full
+    by one, two or four firms in exact shares, so rings are exact."""
+    m = np.zeros((n, n))
+    for j in range(n):
+        others = [i for i in range(n) if i != j]
+        kind = rng.integers(3)
+        if kind == 1:
+            m[others, j] = rng.random(n - 1) * 0.9 / (n - 1)
+        elif kind == 2:
+            holders = rng.choice(others, size=min(int(rng.choice([1, 2, 4])), n - 1),
+                                 replace=False)
+            m[holders, j] = 1.0 / holders.size
+    return m
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 5))
+def test_closed_ring_rule_is_spectral_radius_of_every_pattern(seed, n):
+    # the rule accepts a network exactly when every holding pattern H(xi)
+    # has spectral radius below one; then every A(xi) solves and Picard
+    # converges.  Exact shares keep each radius 1 or clearly below it.
+    rng = np.random.default_rng(seed)
+    m_s, m_d = _full_columns(rng, n), _full_columns(rng, n)
+    report = ng.validate_network(m_s, m_d, np.ones(n))
+    patterns = np.array(list(product((0.0, 1.0), repeat=n)))
+    radius = max(np.abs(np.linalg.eigvals(np.where(xi == 1.0, m_s, m_d))).max()
+                 for xi in patterns)
+    assert report.unique_fixed_point == (radius < 1.0 - 1e-9), radius
+    if report.ok:
+        net = ng.FirmNetwork(m_s=m_s, m_d=m_d, d=np.ones(n))
+        assert np.all(np.isfinite(dxda_batch(net, patterns)))
+        ng.solve_claims(net, rng.uniform(0.0, 2.0, size=n))
 
 
 def test_validate_shape_mismatch_reported_not_raised():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import netgreeks as ng
+from netgreeks.sensitivity import dxda_batch
 from helpers import (TIGHT, fd_claims_jacobian, jacobian_g, random_interior_scenario,
                      random_network, weighting_matrix)
 
@@ -93,8 +94,6 @@ def test_sensitivity_matches_finite_differences():
 
 
 def test_dxda_batch_matches_single():
-    from netgreeks.sensitivity import dxda_batch
-
     rng = np.random.default_rng(16)
     net = random_network(rng, 5)
     xi_batch = (rng.random((12, 5)) < 0.5).astype(float)
@@ -284,8 +283,6 @@ class _SingularStub:
 
 
 def test_singular_system_raises_sensitivity_error():
-    from netgreeks.sensitivity import dxda_batch
-
     Stub = _SingularStub
     with pytest.raises(ng.SensitivityError):
         ng.claims_sensitivity(Stub(), np.zeros(2))
@@ -293,11 +290,12 @@ def test_singular_system_raises_sensitivity_error():
         dxda_batch(Stub(), np.zeros((3, 2)))
     with pytest.raises(ng.SensitivityError):
         ng.aggregate_impact(Stub(), np.zeros(2))
+    # the error names the offending pattern and its live block
+    with pytest.raises(ng.SensitivityError, match=r"pattern 00 \(live firms \[0, 1\]\)"):
+        dxda_batch(Stub(), np.array([[1.0, 0.0], [0.0, 0.0], [1.0, 1.0]]))
 
 
 def test_singular_system_raises_on_weighted_path():
-    from netgreeks.sensitivity import dxda_batch
-
     with pytest.raises(ng.SensitivityError):
         dxda_batch(_SingularStub(), np.zeros((3, 2)), weights=np.eye(4))
     with pytest.raises(ng.SensitivityError):
@@ -313,8 +311,6 @@ def _block_average(n):
 def test_weighted_dxda_batch_is_projection_of_full():
     # one transposed solve with k right-hand sides equals W @ dx*/da, on
     # coupled networks with every kind of pattern
-    from netgreeks.sensitivity import dxda_batch
-
     rng = np.random.default_rng(47)
     worst = 0.0
     for _ in range(30):
@@ -333,9 +329,86 @@ def test_weighted_dxda_batch_is_projection_of_full():
 
 
 def test_weighted_dxda_batch_rejects_bad_weights():
-    from netgreeks.sensitivity import dxda_batch
-
     net = ng.symmetric_network(3, 0.2, 0.4)
     for bad in (np.ones(6), np.ones((2, 5)), np.ones((1, 2, 6))):
         with pytest.raises(ValueError, match="weights"):
             dxda_batch(net, np.ones((2, 3)), weights=bad)
+
+
+# --- the reduced, pattern-deduplicated solve against the 2n x 2n oracle ---------
+
+def _oracle(net, xi):
+    """dx*/da from the unreduced 2n x 2n system."""
+    return weighting_matrix(net, xi) @ np.vstack([np.diag(xi), np.diag(1.0 - xi)])
+
+
+def _kernel_cases(seed, count=40):
+    """Pure-debt and mixed networks, some firms held by no one, with batches
+    that repeat patterns and include the all-solvent and all-insolvent rows."""
+    rng = np.random.default_rng(seed)
+    for case in range(count):
+        n = int(rng.integers(2, 9))
+        net = random_network(rng, n, debt_only=case % 2 == 0, density=rng.uniform(0.2, 0.8))
+        unheld = rng.random(n) < 0.3
+        net = ng.FirmNetwork(m_s=net.m_s * ~unheld, m_d=net.m_d * ~unheld, d=net.d)
+        xi = (rng.random((12, n)) < rng.uniform(0.2, 0.8)).astype(float)
+        xi[0], xi[1] = 1.0, 0.0
+        yield rng, net, xi[rng.integers(0, 12, size=24)]
+
+
+def test_reduced_solve_matches_unreduced_oracle():
+    worst = 0.0
+    for rng, net, xi_batch in _kernel_cases(81):
+        W = rng.random((3, 2 * net.n))
+        full = dxda_batch(net, xi_batch)
+        weighted = dxda_batch(net, xi_batch, weights=W)
+        for b, xi in enumerate(xi_batch):
+            want = _oracle(net, xi)
+            scale = np.abs(want).max()
+            worst = max(worst, np.abs(full[b] - want).max() / scale,
+                        np.abs(weighted[b] - W @ want).max() / np.abs(W @ want).max())
+            # structural zeros stay exact: solvent equity rows carry no debt response
+            assert np.all(full[b][net.n:][xi == 1.0] == 0.0)
+            assert np.all(full[b][:net.n][xi == 0.0] == 0.0)
+    assert worst <= 1e-13, worst
+
+
+def test_reduced_solve_is_order_independent():
+    # deduplication sorts the patterns: a row-permuted batch gives the
+    # row-permuted result bit for bit, on the full and the weighted path
+    for rng, net, xi_batch in _kernel_cases(82, count=20):
+        perm = rng.permutation(xi_batch.shape[0])
+        W = rng.random((2, 2 * net.n))
+        np.testing.assert_array_equal(dxda_batch(net, xi_batch[perm]),
+                                      dxda_batch(net, xi_batch)[perm])
+        np.testing.assert_array_equal(dxda_batch(net, xi_batch[perm], weights=W),
+                                      dxda_batch(net, xi_batch, weights=W)[perm])
+
+
+def test_unweighted_path_is_identity_weights():
+    for _, net, xi_batch in _kernel_cases(83, count=10):
+        np.testing.assert_array_equal(dxda_batch(net, xi_batch),
+                                      dxda_batch(net, xi_batch, weights=np.eye(2 * net.n)))
+
+
+def test_reduced_solve_factors_one_live_block_per_distinct_pattern(monkeypatch):
+    # pure debt: only insolvent firms that someone holds are live.  Firm 3
+    # is unheld, so it never enters a block.
+    import netgreeks.sensitivity as sens
+
+    m_d = np.zeros((4, 4))
+    m_d[1, 0] = m_d[2, 1] = m_d[0, 2] = 0.5
+    net = ng.FirmNetwork(m_s=np.zeros((4, 4)), m_d=m_d, d=np.ones(4))
+    blocks = []
+    real = sens._solve
+
+    def spy(lhs, rhs):
+        blocks.extend(lhs.shape[1:2] * lhs.shape[0])
+        return real(lhs, rhs)
+
+    monkeypatch.setattr(sens, "_solve", spy)
+    rows = np.array([[0, 0, 0, 0], [1, 1, 1, 1], [0, 1, 1, 0], [0, 1, 0, 0]], dtype=float)
+    got = dxda_batch(net, rows[[0, 2, 0, 1, 3, 3, 2, 0]])
+    assert sorted(blocks) == [1, 2, 3]
+    for b, i in enumerate([0, 2, 0, 1, 3, 3, 2, 0]):
+        np.testing.assert_allclose(got[b], _oracle(net, rows[i]), rtol=0, atol=1e-15)
