@@ -1,6 +1,6 @@
 #!/bin/sh
 # Full-scale ensemble sweep (n=60, 1000 networks, 700 draws, full a0 grid).
-# Expect about 9-11 h at one thread on 2 vCPUs (scripts/paper_sweep_eta.py
+# Expect about 8-11 h at one thread on 2 vCPUs (scripts/paper_sweep_eta.py
 # measures it in under a minute); tune --threads to the machine.
 set -e
 cd "$(dirname "$0")/.."

@@ -1,9 +1,7 @@
 """Valuation and risk-neutral Greeks for firm networks with cross-holdings."""
 
 from .blackscholes import call_price, put_price
-from .fixpoint import (BatchSolution, ConvergenceError, FixedPointConfig,
-                       FixedPointSolution, eval_g, solvency, solve_claims,
-                       solve_claims_batch)
+from .fixpoint import BatchSolution, ConvergenceError, FixedPointConfig, solve_claims_batch
 from .gbm import GbmParams, normal_variates, sample_terminal, terminal_partials
 from .local import (LocalValuationState, independent_default_delta,
                     local_delta, local_fixed_point, marginal_contagion)
@@ -11,7 +9,7 @@ from .mc import GreekReport, PriceResult, mc_greeks, price_claims
 from .netgen import SinkhornError, er_network, sinkhorn_balance
 from .network import (ClaimVector, FirmNetwork, NetworkError, SolvencyVector,
                       ValidationReport, firm_value, load_network, outside_value,
-                      save_network, symmetric_network, validate_network)
+                      symmetric_network, validate_network)
 from .sensitivity import (ClaimsJacobian, SensitivityError, aggregate_impact,
                           claims_sensitivity, outside_sensitivity, threat_index)
 from .symmetric import (SymmetricGreeks, SymmetricParams, symmetric_expost,

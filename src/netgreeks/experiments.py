@@ -170,6 +170,12 @@ class ExperimentConfig:
                 raise
             raise ConfigError(f"bad value for {key!r}: {exc}") from exc
         cfg = cls(**kwargs)
+        for key in (*grid_keys, "d", "r", "tau", "tol"):
+            # unset keys are None or empty
+            if not np.all(np.isfinite(getattr(cfg, key) or ())):
+                raise ConfigError(f"{key} must be finite")
+        with _config_errors("fixed-point settings"):
+            cfg.fixed_point_config()
         if cfg.draws < 2:
             raise ConfigError("draws must be at least 2")
         if cfg.threads < 1:

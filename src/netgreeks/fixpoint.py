@@ -1,12 +1,27 @@
-"""Self-consistent claim valuation by monotone fixed-point iteration.
+"""Self-consistent claim valuation: loose Picard finds the solvency pattern,
+one linear solve per pattern finishes it.
 
 Given realized external assets a, equity and debt values solve
 
     s_i = max(0, v_i - d_i),   r_i = min(d_i, v_i),   v = a + m_s s + m_d r.
 
 Under the admissibility rules the map is monotone and has a unique fixed
-point for strictly positive a; iterating from s = 0, r = min(d, a) converges
-from below.
+point for strictly positive a; Picard iteration from s = 0, r = min(d, a)
+increases to it.  Its rate is the holding weight, so heavy cross-holdings
+need ~50 sweeps to reach 1e-12, but the solvency pattern xi = (v > d)
+settles long before.  Once xi is known the fixed point is one linear solve,
+
+    A(xi) v = a + (m_d - m_s) Xi d,   A(xi) = I - m_s Xi - m_d (I - Xi),
+
+the fictitious-default system of Eisenberg & Noe (2001) extended to equity
+cross-holdings.  ``solve_claims_batch`` therefore runs Picard only to
+LOOSE_TOL and reads xi off the loose iterate.  When a batch of B rows has
+few distinct patterns, U n <= B, it polishes: one solve per distinct
+pattern (``sensitivity._forward_solve``), re-solves of the rows whose
+v > d disagrees with xi for at most n rounds, and one map evaluation that
+checks every row against tol.  A row that fails the check, and every row of
+a batch with too many patterns to polish, goes on with plain Picard from
+the loose iterate, so the batch always meets tol.
 """
 
 from __future__ import annotations
@@ -15,31 +30,35 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import ClaimVector, FirmNetwork, SolvencyVector, _ArrayEq, firm_value
+from .network import ClaimVector, FirmNetwork, _ArrayEq
+from .sensitivity import _distinct_patterns, _forward_solve
 
 __all__ = [
     "FixedPointConfig",
-    "FixedPointSolution",
     "BatchSolution",
     "ConvergenceError",
     "DEFAULT_CONFIG",
-    "eval_g",
-    "solve_claims",
     "solve_claims_batch",
-    "solvency",
 ]
+
+# Picard's stopping tolerance before the polish; looser only costs flip rounds
+LOOSE_TOL = 1e-2
 
 
 @dataclass(frozen=True)
 class FixedPointConfig:
-    """Stopping rule: sup-norm tolerance on successive iterates."""
+    """Stopping rule.
+
+    tol bounds the sup-norm residual ||g(x) - x|| of every returned row;
+    max_iter bounds the Picard sweeps, loose phase plus any fallback.
+    """
 
     tol: float = 1e-12
     max_iter: int = 10_000
 
     def __post_init__(self):
-        if not self.tol > 0.0:
-            raise ValueError("tol must be strictly positive")
+        if not 0.0 < self.tol < np.inf:
+            raise ValueError("tol must be strictly positive and finite")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
 
@@ -48,7 +67,11 @@ DEFAULT_CONFIG = FixedPointConfig()
 
 
 class ConvergenceError(RuntimeError):
-    """Iteration did not reach tolerance; carries the last iterate."""
+    """Picard did not reach tol within max_iter sweeps.
+
+    Carries the worst row's last iterate g(x), its residual, its batch row
+    as draw, and iterations = max_iter, the Picard sweeps spent.
+    """
 
     def __init__(self, message, claims=None, residual=None, iterations=None, draw=None):
         super().__init__(message)
@@ -58,17 +81,16 @@ class ConvergenceError(RuntimeError):
         self.draw = draw
 
 
-@dataclass(frozen=True)
-class FixedPointSolution:
-    claims: ClaimVector
-    xi: SolvencyVector
-    iterations: int
-    residual: float
-
-
 @dataclass(frozen=True, eq=False)
 class BatchSolution(_ArrayEq):
-    """Vectorized solution over a batch of asset scenarios (rows)."""
+    """Vectorized solution over a batch of asset scenarios (rows).
+
+    iterations counts map evaluations over the whole batch: the Picard
+    sweeps (loose phase plus any fallback) and, when the batch was
+    polished, the one verifying sweep; the linear solves are not counted.
+    Without the polish it is the plain Picard count.  residuals is each
+    row's ||g(x) - x||_inf at the returned claims, at most tol.
+    """
 
     s: np.ndarray            # (B, n)
     r: np.ndarray            # (B, n)
@@ -78,45 +100,101 @@ class BatchSolution(_ArrayEq):
     residuals: np.ndarray    # (B,) final sup-norm per scenario
 
 
-def eval_g(net: FirmNetwork, a, claims: ClaimVector) -> ClaimVector:
-    """One application of the valuation map at claims x."""
-    v = firm_value(net, claims, a)
-    return ClaimVector(s=np.maximum(0.0, v - net.d), r=np.minimum(net.d, v))
+def _sweeps(net, a, s, r, tol, it, max_iter):
+    """Picard sweeps from (s, r) until every row's step is <= tol or it reaches max_iter.
 
-
-def _picard(net, a, cfg):
-    """Iteration core over (B, n) arrays, from the lower start s = 0, r = min(d, a).
-
-    Returns (s, r, v, xi, iterations, residuals).  The returned
-    claims are the iterate at which the residual ||g(x) - x|| was measured,
-    so the post-condition ||x - g(a, x)||_inf <= tol holds exactly.
+    it counts the map evaluations already spent.  Returns (s, r, v, step,
+    it): the iterate at which the step ||g(x) - x|| was measured, its firm
+    value and the per-firm step.  The caller checks convergence; the next
+    iterate is g(x) = (max(0, v - d), min(d, v)).
     """
     d = net.d
     ms_t = net.m_s.T
     md_t = net.m_d.T
-    s, r = np.zeros_like(a), np.minimum(d, a)
-    for it in range(1, cfg.max_iter + 1):
+    while True:
         v = a + s @ ms_t + r @ md_t
         s_new = np.maximum(0.0, v - d)
         r_new = np.minimum(d, v)
         step = np.maximum(np.abs(s_new - s), np.abs(r_new - r))
-        resid = step.max(axis=1)
-        if resid.max() <= cfg.tol:
-            xi = (v > d).astype(float)
-            return s, r, v, xi, it, resid
+        it += 1
+        if step.max() <= tol or it >= max_iter:
+            return s, r, v, step, it
         s, r = s_new, r_new
+
+
+def _convergence_error(net, v, step, cfg, rows):
+    """ConvergenceError at the worst row of the last sweep; rows maps it to the batch."""
+    resid = step.max(axis=1)
     worst = int(np.argmax(resid))
+    draw = int(rows[worst])
     firms = np.flatnonzero(step[worst] > cfg.tol).tolist()
-    xi = "".join("1" if solvent else "0" for solvent in v[worst] > d)
-    raise ConvergenceError(
+    xi = "".join("1" if solvent else "0" for solvent in v[worst] > net.d)
+    return ConvergenceError(
         f"no convergence after {cfg.max_iter} iterations "
-        f"(worst scenario {worst}, residual {resid[worst]:.3e}, "
+        f"(worst scenario {draw}, residual {resid[worst]:.3e}, "
         f"unconverged firms {firms}, solvency pattern xi={xi})",
-        claims=ClaimVector(s=s_new[worst], r=r_new[worst]),
+        claims=ClaimVector(s=np.maximum(0.0, v[worst] - net.d), r=np.minimum(net.d, v[worst])),
         residual=float(resid[worst]),
         iterations=cfg.max_iter,
-        draw=worst,
+        draw=draw,
     )
+
+
+def _polish(net, a, solvent, inverse):
+    """Exact fixed point of every row from the solvency patterns of a loose iterate.
+
+    Solves A(xi) v = a + (m_d - m_s) Xi d once per distinct pattern
+    (``sensitivity._forward_solve``), then re-solves only the rows whose
+    v > d disagrees with their pattern, for at most n rounds.  Returns
+    (s, r, v, step) as ``_sweeps`` does, from one verifying map evaluation.
+    """
+    d = net.d
+    diff_t = (net.m_d - net.m_s).T
+    xi = solvent[inverse]
+    v = _forward_solve(net, solvent, inverse, a + (xi * d) @ diff_t)
+    rows = np.flatnonzero(np.any((v > d) != xi, axis=1))
+    for _ in range(net.n):
+        if not rows.size:
+            break
+        xi[rows] = v[rows] > d
+        solvent, inverse = _distinct_patterns(xi[rows])
+        v[rows] = _forward_solve(net, solvent, inverse, a[rows] + (xi[rows] * d) @ diff_t)
+        rows = rows[np.any((v[rows] > d) != xi[rows], axis=1)]
+    s, r = np.maximum(0.0, v - d), np.minimum(d, v)
+    # one sweep: max_iter = 1
+    return _sweeps(net, a, s, r, 0.0, 0, 1)[:4]
+
+
+def _picard(net, a, cfg):
+    """Fixed point of every row of a (B, n) batch: loose Picard, then polish or more Picard.
+
+    Returns (s, r, v, xi, iterations, residuals).  The returned claims are
+    the iterate at which the residual ||g(x) - x|| was measured, so the
+    post-condition ||x - g(a, x)||_inf <= tol holds exactly.
+    """
+    d = net.d
+    loose = max(cfg.tol, LOOSE_TOL)
+    s, r, v, step, it = _sweeps(net, a, np.zeros_like(a), np.minimum(d, a), loose, 0, cfg.max_iter)
+    rows = np.arange(len(a))
+    if step.max() > cfg.tol:
+        if it >= cfg.max_iter:
+            raise _convergence_error(net, v, step, cfg, rows)
+        # the plain iteration's next iterate, where any fallback resumes
+        s_next, r_next = np.maximum(0.0, v - d), np.minimum(d, v)
+        solvent, inverse = _distinct_patterns(v > d)
+        polished = len(solvent) * net.n <= len(a)
+        if polished:
+            s, r, v, step = _polish(net, a, solvent, inverse)
+            rows = np.flatnonzero(step.max(axis=1) > cfg.tol)
+        if rows.size:
+            sub = _sweeps(net, a[rows], s_next[rows], r_next[rows], cfg.tol, it, cfg.max_iter)
+            if sub[3].max() > cfg.tol:
+                raise _convergence_error(net, sub[2], sub[3], cfg, rows)
+            s[rows], r[rows], v[rows], step[rows] = sub[:4]
+            it = sub[4]
+        it += polished
+    xi = (v > d).astype(float)
+    return s, r, v, xi, it, step.max(axis=1)
 
 
 def solve_claims_batch(net: FirmNetwork, a,
@@ -129,23 +207,3 @@ def solve_claims_batch(net: FirmNetwork, a,
         raise ValueError("external asset values must be strictly positive")
     s, r, v, xi, it, resid = _picard(net, a, cfg)
     return BatchSolution(s=s, r=r, v=v, xi=xi, iterations=it, residuals=resid)
-
-
-def solve_claims(net: FirmNetwork, a,
-                 cfg: FixedPointConfig = DEFAULT_CONFIG) -> FixedPointSolution:
-    """Solve the valuation fixed point for one asset vector a > 0."""
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    if a.shape[0] != 1:
-        raise ValueError(f"expected one asset vector, got {a.shape[0]} rows")
-    sol = solve_claims_batch(net, a, cfg)
-    return FixedPointSolution(
-        claims=ClaimVector(s=sol.s[0], r=sol.r[0]),
-        xi=SolvencyVector(sol.xi[0]),
-        iterations=sol.iterations,
-        residual=float(sol.residuals[0]),
-    )
-
-
-def solvency(net: FirmNetwork, a, claims: ClaimVector) -> SolvencyVector:
-    """Solvency indicators at given claims: 1 iff v_i > d_i (ties insolvent)."""
-    return SolvencyVector((firm_value(net, claims, a) > net.d).astype(float))

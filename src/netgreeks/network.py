@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, fields
-from pathlib import Path
 
 import numpy as np
 
@@ -26,7 +25,6 @@ __all__ = [
     "outside_value",
     "symmetric_network",
     "load_network",
-    "save_network",
 ]
 
 
@@ -134,9 +132,9 @@ def validate_network(m_s, m_d, d) -> ValidationReport:
     if not strict_external:
         failures.append("external holding: no column with sum strictly below one")
 
-    positive_debt = bool(np.all(d > 0.0))
+    positive_debt = bool(np.all((d > 0.0) & np.isfinite(d)))
     if not positive_debt:
-        failures.append("debt-positive: nominal debt must be strictly positive")
+        failures.append("debt-positive: nominal debt must be strictly positive and finite")
 
     ring = _closed_ring(m_s, m_d)
     if ring.size:
@@ -316,7 +314,3 @@ def load_network(path) -> FirmNetwork:
     if net.n != n:
         raise NetworkError(f"network file {path}: n={n} does not match matrix size {net.n}")
     return net
-
-
-def save_network(net: FirmNetwork, path) -> None:
-    Path(path).write_text(json.dumps(net.to_dict(), indent=2) + "\n")

@@ -1,13 +1,78 @@
-"""Shared test utilities: random admissible networks, finite differences and
-the 2n x 2n sensitivity oracle."""
+"""Shared test utilities: random admissible networks, finite differences, the
+single-scenario solver API, and the plain Picard and 2n x 2n sensitivity
+oracles."""
 
 from __future__ import annotations
 
+import json
+from dataclasses import dataclass
+from pathlib import Path
+
 import numpy as np
 
-from netgreeks import FirmNetwork, FixedPointConfig, solve_claims
+from netgreeks import (ClaimVector, ConvergenceError, FirmNetwork, FixedPointConfig,
+                       SolvencyVector, firm_value, solve_claims_batch)
+from netgreeks.fixpoint import DEFAULT_CONFIG
 
 TIGHT = FixedPointConfig(tol=1e-14, max_iter=50_000)
+
+
+@dataclass(frozen=True)
+class FixedPointSolution:
+    claims: ClaimVector
+    xi: SolvencyVector
+    iterations: int
+    residual: float
+
+
+def solve_claims(net: FirmNetwork, a, cfg: FixedPointConfig = DEFAULT_CONFIG) -> FixedPointSolution:
+    """Solve the valuation fixed point for one asset vector a > 0."""
+    a = np.atleast_2d(np.asarray(a, dtype=float))
+    if a.shape[0] != 1:
+        raise ValueError(f"expected one asset vector, got {a.shape[0]} rows")
+    sol = solve_claims_batch(net, a, cfg)
+    return FixedPointSolution(
+        claims=ClaimVector(s=sol.s[0], r=sol.r[0]),
+        xi=SolvencyVector(sol.xi[0]),
+        iterations=sol.iterations,
+        residual=float(sol.residuals[0]),
+    )
+
+
+def eval_g(net: FirmNetwork, a, claims: ClaimVector) -> ClaimVector:
+    """One application of the valuation map at claims x."""
+    v = firm_value(net, claims, a)
+    return ClaimVector(s=np.maximum(0.0, v - net.d), r=np.minimum(net.d, v))
+
+
+def solvency(net: FirmNetwork, a, claims: ClaimVector) -> SolvencyVector:
+    """Solvency indicators at given claims: 1 iff v_i > d_i (ties insolvent)."""
+    return SolvencyVector((firm_value(net, claims, a) > net.d).astype(float))
+
+
+def save_network(net: FirmNetwork, path) -> None:
+    Path(path).write_text(json.dumps(net.to_dict(), indent=2) + "\n")
+
+
+def picard_oracle(net: FirmNetwork, a, cfg: FixedPointConfig = DEFAULT_CONFIG):
+    """Plain Picard over a (B, n) batch from s = 0, r = min(d, a), every row to cfg.tol.
+
+    The solver before the polish, kept as its oracle.  Returns
+    (s, r, v, xi, iterations, residuals) with the meanings of
+    ``BatchSolution``; iterations counts map evaluations.
+    """
+    a = np.atleast_2d(np.asarray(a, dtype=float))
+    d = net.d
+    s, r = np.zeros_like(a), np.minimum(d, a)
+    for it in range(1, cfg.max_iter + 1):
+        v = a + s @ net.m_s.T + r @ net.m_d.T
+        s_new = np.maximum(0.0, v - d)
+        r_new = np.minimum(d, v)
+        resid = np.maximum(np.abs(s_new - s), np.abs(r_new - r)).max(axis=1)
+        if resid.max() <= cfg.tol:
+            return s, r, v, (v > d).astype(float), it, resid
+        s, r = s_new, r_new
+    raise ConvergenceError(f"no convergence after {cfg.max_iter} iterations")
 
 
 def random_holdings(rng, n, cap=0.9, density=0.6):

@@ -33,8 +33,7 @@ from netgreeks.symmetric import (SymmetricParams, symmetric_greeks,
                                  symmetric_mc_inputs, symmetric_price)
 
 from helpers import (TIGHT, fd_claims_jacobian, ordered_holdings,
-                     random_interior_scenario, random_network, random_holdings)
-from netgreeks import solve_claims
+                     random_interior_scenario, random_network, random_holdings, solve_claims)
 from netgreeks.network import outside_value
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"

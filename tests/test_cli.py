@@ -1,13 +1,19 @@
 """End-to-end CLI behaviour: exit codes, overrides, output files."""
 
+import contextlib
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from netgreeks.cli import main
-from netgreeks.network import FirmNetwork, save_network
+from netgreeks.network import FirmNetwork
+from helpers import save_network
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -130,6 +136,102 @@ def test_correlation_without_cholesky_factor_is_config_error(tmp_path, capsys):
     })
     assert main(["greeks", "--config", cfg, "--out", str(tmp_path / "g.json")]) == 2
     assert "definite" in capsys.readouterr().err
+
+
+# every numeric key each kind reads; the network kinds also read a network file
+FULL = {
+    "price": {"network": "example_network.json", "a_t": [1.0, 1.1, 0.9], "sigma": 0.4,
+              "r": 0.01, "tau": 1.0, "tol": 1e-12, "corr": np.eye(3).tolist()},
+    "greeks": {"network": "example_network.json", "a_t": 1.0, "sigma": [0.3, 0.4, 0.5],
+               "r": 0.0, "tau": 0.5, "tol": 1e-12, "corr": np.eye(3).tolist()},
+    "local-compare": {"network": "debt_network.json", "a_t": 1.05, "sigma": 0.4,
+                      "firm_vol": 0.4, "r": 0.0, "tau": 1.0, "tol": 1e-12},
+    "two-firm": {"a0": 1.0, "w_d": 0.4, "sigma": 0.4, "d": 1.0, "r": 0.0, "tau": 1.0,
+                 "tol": 1e-12},
+    "symmetric-grid": {"a0": [0.5, 1.0], "w_s": 0.2, "w_d": 0.4, "sigma": 0.4, "d": 1.0,
+                       "r": 0.0, "tau": 1.0},
+    "er-sweep": {"k_mean": [0.5], "w_d": [0.5], "a0": [1.0], "sigma": 0.4, "d": 1.0,
+                 "r": 0.0, "tau": 1.0, "tol": 1e-12, "n": 4, "networks": 1},
+}
+
+
+def _numeric_places(obj, path=()):
+    """Paths to every float in a JSON-like object."""
+    if isinstance(obj, float):
+        return [path]
+    if isinstance(obj, list):
+        return [p for i, v in enumerate(obj) for p in _numeric_places(v, path + (i,))]
+    if isinstance(obj, dict):
+        return [p for k, v in obj.items() for p in _numeric_places(v, path + (k,))]
+    return []
+
+
+def _set(obj, path, value):
+    for key in path[:-1]:
+        obj = obj[key]
+    obj[path[-1]] = value
+
+
+def _exit_code(kind, cfg, directory):
+    path = Path(directory) / "cfg.json"
+    path.write_text(json.dumps({"kind": kind, "draws": 16, "seed": 1, **cfg}))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main([kind, "--config", str(path), "--out", str(Path(directory) / "out")])
+    return code, err.getvalue()
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(sorted(FULL)), st.data(),
+       st.sampled_from([float("nan"), float("inf"), -float("inf")]))
+def test_nonfinite_value_anywhere_is_config_error(kind, data, bad):
+    cfg = json.loads(json.dumps(FULL[kind]))
+    doc = {"config": cfg}
+    if "network" in cfg:
+        doc["network"] = json.loads((CONFIGS / cfg["network"]).read_text())
+    place = data.draw(st.sampled_from(_numeric_places(doc)))
+    _set(doc, place, bad)
+    with tempfile.TemporaryDirectory() as directory:
+        if "network" in doc:
+            cfg["network"] = str(Path(directory) / "net.json")
+            Path(cfg["network"]).write_text(json.dumps(doc["network"]))
+        code, err = _exit_code(kind, cfg, directory)
+    assert code == 2, (place, err)
+    assert "config error" in err
+
+
+def test_full_configs_run():
+    # the unmodified configs of the property above are valid
+    with tempfile.TemporaryDirectory() as directory:
+        for kind, cfg in FULL.items():
+            if "network" in cfg:
+                cfg = {**cfg, "network": str(CONFIGS / cfg["network"])}
+            assert _exit_code(kind, cfg, directory)[0] == 0, kind
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 5))
+def test_unfactorable_correlation_is_config_error(seed, n):
+    # a unit-diagonal symmetric matrix with a negative eigenvalue, well
+    # beyond the 1e-12 diagonal bump
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    eig = rng.uniform(0.1, 2.0, size=n)
+    eig[0] = -rng.uniform(1e-6, 0.5)
+    cov = q @ np.diag(eig) @ q.T
+    assume(np.all(np.diag(cov) > 0.0))
+    scale = 1.0 / np.sqrt(np.diag(cov))
+    corr = scale[:, None] * cov * scale[None, :]
+    corr = (corr + corr.T) / 2.0
+    np.fill_diagonal(corr, 1.0)
+    assume(np.linalg.eigvalsh(corr).min() < -1e-9)
+    with tempfile.TemporaryDirectory() as directory:
+        net_path = Path(directory) / "net.json"
+        save_network(FirmNetwork(m_s=np.zeros((n, n)), m_d=np.zeros((n, n)),
+                                 d=np.ones(n)), net_path)
+        cfg = {"network": str(net_path), "a_t": 1.0, "sigma": 0.4, "corr": corr.tolist()}
+        code, err = _exit_code("greeks", cfg, directory)
+    assert code == 2 and "config error" in err
 
 
 SMALL = {

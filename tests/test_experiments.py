@@ -173,9 +173,11 @@ def test_two_firm_insolvent_branch():
 
 
 def test_two_firm_bad_asset_model_is_config_error():
-    for sigma in (float("nan"), -0.1):
-        with pytest.raises(ConfigError, match="asset model"):
-            run_two_firm(_two_firm_cfg(sigma=sigma))
+    # a non-finite value is rejected with the config, before any model is built
+    with pytest.raises(ConfigError, match="sigma must be finite"):
+        run_two_firm(_two_firm_cfg(sigma=float("nan")))
+    with pytest.raises(ConfigError, match="asset model"):
+        run_two_firm(_two_firm_cfg(sigma=-0.1))
 
 
 def test_two_firm_csv(tmp_path):

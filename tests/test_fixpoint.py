@@ -1,8 +1,14 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import netgreeks as ng
-from helpers import TIGHT, random_network
+from netgreeks import fixpoint
+from netgreeks.sensitivity import _distinct_patterns
+from helpers import TIGHT, eval_g, picard_oracle, random_network, solve_claims, solvency
 
 
 def single_firm(d=1.0):
@@ -11,13 +17,13 @@ def single_firm(d=1.0):
 
 def test_eval_g_single_firm_solvent():
     net = single_firm()
-    out = ng.eval_g(net, np.array([2.0]), ng.ClaimVector(s=np.zeros(1), r=np.zeros(1)))
+    out = eval_g(net, np.array([2.0]), ng.ClaimVector(s=np.zeros(1), r=np.zeros(1)))
     assert out.s[0] == pytest.approx(1.0) and out.r[0] == pytest.approx(1.0)
 
 
 def test_eval_g_single_firm_insolvent():
     net = single_firm()
-    out = ng.eval_g(net, np.array([0.5]), ng.ClaimVector(s=np.zeros(1), r=np.zeros(1)))
+    out = eval_g(net, np.array([0.5]), ng.ClaimVector(s=np.zeros(1), r=np.zeros(1)))
     assert out.s[0] == 0.0 and out.r[0] == pytest.approx(0.5)
 
 
@@ -25,20 +31,20 @@ def test_eval_g_symmetric_debt_step():
     # two firms, w_d = 0.4, starting from r = min(d, a): one step gives r = 0.7
     net = ng.symmetric_network(2, 0.0, 0.4)
     a = np.full(2, 0.5)
-    out = ng.eval_g(net, a, ng.ClaimVector(s=np.zeros(2), r=np.full(2, 0.5)))
+    out = eval_g(net, a, ng.ClaimVector(s=np.zeros(2), r=np.full(2, 0.5)))
     np.testing.assert_allclose(out.r, 0.7)
     np.testing.assert_array_equal(out.s, 0.0)
 
 
 def test_single_firm_solution():
-    sol = ng.solve_claims(single_firm(), np.array([2.0]))
+    sol = solve_claims(single_firm(), np.array([2.0]))
     assert sol.claims.s[0] == pytest.approx(1.0, abs=1e-12)
     assert sol.claims.r[0] == pytest.approx(1.0, abs=1e-12)
     assert sol.xi.xi[0] == 1.0
 
 
 def test_single_firm_boundary_tie_counts_insolvent():
-    sol = ng.solve_claims(single_firm(), np.array([1.0]))
+    sol = solve_claims(single_firm(), np.array([1.0]))
     assert sol.claims.s[0] == 0.0
     assert sol.claims.r[0] == 1.0
     assert sol.xi.xi[0] == 0.0
@@ -47,7 +53,7 @@ def test_single_firm_boundary_tie_counts_insolvent():
 
 def test_symmetric_insolvent_value():
     net = ng.symmetric_network(4, 0.0, 0.4)
-    sol = ng.solve_claims(net, np.full(4, 0.5))
+    sol = solve_claims(net, np.full(4, 0.5))
     np.testing.assert_allclose(sol.claims.s, 0.0, atol=1e-12)
     np.testing.assert_allclose(sol.claims.r, 5.0 / 6.0, atol=1e-10)
     assert sol.xi.all_insolvent()
@@ -55,7 +61,7 @@ def test_symmetric_insolvent_value():
 
 def test_symmetric_solvent_value():
     net = ng.symmetric_network(4, 0.2, 0.4)
-    sol = ng.solve_claims(net, np.full(4, 1.2))
+    sol = solve_claims(net, np.full(4, 1.2))
     np.testing.assert_allclose(sol.claims.s, 0.75, atol=1e-10)
     np.testing.assert_allclose(sol.claims.r, 1.0, atol=1e-10)
     assert sol.xi.all_solvent()
@@ -70,7 +76,7 @@ def test_matches_symmetric_closed_form():
         p = ng.SymmetricParams(w_s=w_s, w_d=w_d, d=d, a_t=a, sigma=0.3, r=0.0, tau=1.0)
         s_star, r_star, xi = ng.symmetric_expost(a, p)
         net = ng.symmetric_network(3, w_s, w_d, d)
-        sol = ng.solve_claims(net, np.full(3, a), TIGHT)
+        sol = solve_claims(net, np.full(3, a), TIGHT)
         np.testing.assert_allclose(sol.claims.s, s_star, atol=1e-9)
         np.testing.assert_allclose(sol.claims.r, r_star, atol=1e-9)
         assert np.all(sol.xi.xi == xi)
@@ -82,8 +88,8 @@ def test_residual_post_condition():
         n = int(rng.integers(2, 9))
         net = random_network(rng, n)
         a = rng.uniform(0.1, 3.0, size=n)
-        sol = ng.solve_claims(net, a)
-        g = ng.eval_g(net, a, sol.claims)
+        sol = solve_claims(net, a)
+        g = eval_g(net, a, sol.claims)
         gap = np.abs(g.x - sol.claims.x).max()
         assert gap <= ng.FixedPointConfig().tol
         assert sol.residual <= ng.FixedPointConfig().tol
@@ -95,7 +101,7 @@ def test_claim_bounds_hold():
         n = int(rng.integers(2, 9))
         net = random_network(rng, n)
         a = rng.uniform(0.1, 3.0, size=n)
-        sol = ng.solve_claims(net, a)
+        sol = solve_claims(net, a)
         assert np.all(sol.claims.s >= 0.0)
         assert np.all(sol.claims.r >= 0.0)
         assert np.all(sol.claims.r <= net.d + 1e-15)
@@ -107,12 +113,12 @@ def test_unique_fixed_point_from_upper_start():
         n = int(rng.integers(2, 7))
         net = random_network(rng, n)
         a = rng.uniform(0.1, 3.0, size=n)
-        base = ng.solve_claims(net, a, TIGHT)
+        base = solve_claims(net, a, TIGHT)
         # start above the fixed point: s bound solves s = a + m_s s + m_d d
         s_up = np.linalg.solve(np.eye(n) - net.m_s, a + net.m_d @ net.d) + 1.0
         x = ng.ClaimVector(s=s_up, r=net.d.copy())
         for _ in range(TIGHT.max_iter):
-            nxt = ng.eval_g(net, a, x)
+            nxt = eval_g(net, a, x)
             done = np.abs(nxt.x - x.x).max() <= TIGHT.tol
             x = nxt
             if done:
@@ -129,8 +135,8 @@ def test_monotone_in_assets():
         net = random_network(rng, n)
         a = rng.uniform(0.1, 2.0, size=n)
         bump = rng.uniform(0.0, 0.5, size=n)
-        lo = ng.solve_claims(net, a).claims.x
-        hi = ng.solve_claims(net, a + bump).claims.x
+        lo = solve_claims(net, a).claims.x
+        hi = solve_claims(net, a + bump).claims.x
         assert np.all(hi >= lo - 1e-10)
 
 
@@ -146,7 +152,7 @@ def test_residuals_non_increasing_after_first_iteration():
         hist = []
         while not hist or hist[-1] > 1e-12:
             assert len(hist) < 10_000, "Picard did not converge"
-            nxt = ng.eval_g(net, a, x)
+            nxt = eval_g(net, a, x)
             hist.append(np.abs(nxt.x - x.x).max())
             x = nxt
         hist = np.array(hist)
@@ -158,7 +164,7 @@ def test_residuals_non_increasing_after_first_iteration():
 def test_iterations_counts_map_evaluations():
     # an isolated insolvent firm: the default start (s, r) = (0, min(d, a))
     # already is the fixed point, so one map evaluation confirms it
-    sol = ng.solve_claims(single_firm(d=1.0), np.array([0.5]))
+    sol = solve_claims(single_firm(d=1.0), np.array([0.5]))
     assert sol.iterations == 1
     assert sol.residual == 0.0
     assert sol.claims.s[0] == 0.0 and sol.claims.r[0] == 0.5
@@ -169,7 +175,7 @@ def test_convergence_error_carries_state():
     net = ng.symmetric_network(2, 0.0, 0.95)
     cfg = ng.FixedPointConfig(tol=1e-12, max_iter=5)
     with pytest.raises(ng.ConvergenceError) as err:
-        ng.solve_claims(net, np.full(2, 0.01), cfg)
+        solve_claims(net, np.full(2, 0.01), cfg)
     assert err.value.claims is not None
     assert err.value.residual > 0.0
     assert err.value.iterations == 5
@@ -178,9 +184,9 @@ def test_convergence_error_carries_state():
 def test_rejects_nonpositive_assets():
     net = single_firm()
     with pytest.raises(ValueError):
-        ng.solve_claims(net, np.array([0.0]))
+        solve_claims(net, np.array([0.0]))
     with pytest.raises(ValueError):
-        ng.solve_claims(net, np.array([-1.0]))
+        solve_claims(net, np.array([-1.0]))
 
 
 def test_batch_matches_scalar():
@@ -189,7 +195,7 @@ def test_batch_matches_scalar():
     a = rng.uniform(0.1, 3.0, size=(40, 5))
     batch = ng.solve_claims_batch(net, a)
     for i in range(40):
-        sol = ng.solve_claims(net, a[i])
+        sol = solve_claims(net, a[i])
         np.testing.assert_allclose(batch.s[i], sol.claims.s, atol=1e-11)
         np.testing.assert_allclose(batch.r[i], sol.claims.r, atol=1e-11)
         assert np.all(batch.xi[i] == sol.xi.xi)
@@ -198,8 +204,8 @@ def test_batch_matches_scalar():
 def test_solvency_strict_inequality():
     net = single_firm()
     claims = ng.ClaimVector(s=np.zeros(1), r=np.ones(1))
-    assert ng.solvency(net, np.array([1.0]), claims).xi[0] == 0.0
-    assert ng.solvency(net, np.array([1.0 + 1e-9]), claims).xi[0] == 1.0
+    assert solvency(net, np.array([1.0]), claims).xi[0] == 0.0
+    assert solvency(net, np.array([1.0 + 1e-9]), claims).xi[0] == 1.0
 
 
 def test_config_validation():
@@ -207,3 +213,115 @@ def test_config_validation():
         ng.FixedPointConfig(tol=0.0)
     with pytest.raises(ValueError):
         ng.FixedPointConfig(max_iter=0)
+
+
+# -- the polish: loose Picard, then one A(xi) solve per distinct pattern --------
+
+
+def _spy(name):
+    """Patch fixpoint.<name> with a mock that records its calls and passes them through."""
+    return mock.patch.object(fixpoint, name, wraps=getattr(fixpoint, name))
+
+
+def _perturb_forward_solve(monkeypatch, row, delta):
+    """Make the polish's solve return v off by delta on one row."""
+    real = fixpoint._forward_solve
+
+    def perturbed(*args):
+        v = real(*args)
+        v[row] += delta
+        return v
+
+    monkeypatch.setattr(fixpoint, "_forward_solve", perturbed)
+
+
+def _assert_matches_oracle(sol, oracle, tol):
+    s, r, _, xi, _, _ = oracle
+    np.testing.assert_array_equal(sol.xi, xi)
+    np.testing.assert_allclose(sol.s, s, rtol=0.0, atol=1e-11)
+    np.testing.assert_allclose(sol.r, r, rtol=0.0, atol=1e-11)
+    assert sol.residuals.max() <= tol
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.booleans(), st.integers(1, 3))
+def test_polish_matches_plain_picard(seed, n, debt_only, distinct):
+    # `distinct` rows tiled n times: at most `distinct` patterns in
+    # distinct * n rows, so the batch is polished
+    rng = np.random.default_rng(seed)
+    net = random_network(rng, n, debt_only=debt_only)
+    a = np.tile(rng.uniform(0.1, 3.0, size=(distinct, n)), (n, 1))
+    with _spy("_sweeps") as sweeps:
+        sol = ng.solve_claims_batch(net, a, TIGHT)
+    oracle = picard_oracle(net, a, TIGHT)
+    _assert_matches_oracle(sol, oracle, TIGHT.tol)
+    # loose Picard and, unless that already met tol, the verifying sweep;
+    # no row needed the fallback
+    assert sweeps.call_count <= 2
+    assert sol.iterations <= oracle[4] + 1
+
+
+def test_polish_re_solves_rows_whose_loose_pattern_is_wrong():
+    # Picard rises to v* = a + 0.6 d = 1.001 from below, so at the loose
+    # tolerance both firms still look insolvent; solving with xi = 00 gives
+    # v = a / 0.4 > d, and one re-solve with xi = 11 finishes
+    net = ng.symmetric_network(2, 0.0, 0.6)
+    a = np.full((4, 2), 0.401)
+    with _spy("_forward_solve") as solves:
+        sol = ng.solve_claims_batch(net, a)
+    assert solves.call_count == 2
+    np.testing.assert_array_equal(sol.xi, 1.0)
+    np.testing.assert_allclose(sol.v, 1.001, rtol=0.0, atol=1e-15)
+    _assert_matches_oracle(sol, picard_oracle(net, a), ng.FixedPointConfig().tol)
+
+
+def test_row_failing_the_polish_check_falls_back_to_picard(monkeypatch):
+    rng = np.random.default_rng(3)
+    net = random_network(rng, 3)
+    a = np.tile(rng.uniform(0.5, 2.0, size=3), (6, 1))
+    _perturb_forward_solve(monkeypatch, 2, 1e-6)
+    with _spy("_sweeps") as sweeps:
+        sol = ng.solve_claims_batch(net, a, TIGHT)
+    oracle = picard_oracle(net, a, TIGHT)
+    # loose Picard, the verifying sweep and the fallback of row 2 alone
+    assert [len(call.args[2]) for call in sweeps.call_args_list] == [6, 6, 1]
+    _assert_matches_oracle(sol, oracle, TIGHT.tol)
+    # the fallback resumes the plain sequence, so the row is the oracle's
+    for got, want in zip((sol.s, sol.r, sol.v, sol.residuals), (*oracle[:3], oracle[5])):
+        np.testing.assert_array_equal(got[2], want[2])
+    assert sol.iterations == oracle[4] + 1
+
+
+def test_fallback_failure_names_the_batch_row(monkeypatch):
+    # deep mutual insolvency: loose Picard is done in a few sweeps, the
+    # fallback of the perturbed row 4 would need hundreds more
+    net = ng.symmetric_network(2, 0.0, 0.9)
+    a = np.full((6, 2), 0.05)
+    _perturb_forward_solve(monkeypatch, 4, -1e-3)
+    cfg = ng.FixedPointConfig(tol=1e-12, max_iter=40)
+    with pytest.raises(ng.ConvergenceError, match="worst scenario 4") as err:
+        ng.solve_claims_batch(net, a, cfg)
+    assert err.value.draw == 4
+    assert err.value.iterations == 40
+
+
+def test_batch_with_all_distinct_patterns_is_plain_picard():
+    # U n > B: the polish is skipped and Picard resumes from the loose
+    # iterate, bit for bit the plain iteration
+    rng = np.random.default_rng(8)
+    checked = 0
+    while checked < 20:
+        n = int(rng.integers(3, 7))
+        net = random_network(rng, n, debt_only=bool(checked % 2))
+        a = rng.uniform(0.1, 3.0, size=(4, n))
+        oracle = picard_oracle(net, a)
+        if len(_distinct_patterns(oracle[3])[0]) < len(a):
+            continue
+        with _spy("_polish") as polish:
+            sol = ng.solve_claims_batch(net, a)
+        assert not polish.called
+        for got, want in zip((sol.s, sol.r, sol.v, sol.xi, sol.residuals),
+                             (*oracle[:4], oracle[5])):
+            np.testing.assert_array_equal(got, want)
+        assert sol.iterations == oracle[4]
+        checked += 1

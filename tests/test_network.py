@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields, replace
 from itertools import product
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 import netgreeks as ng
 from netgreeks.sensitivity import dxda_batch
-from helpers import random_network
+from helpers import random_network, save_network, solve_claims
 
 
 def test_validate_accepts_zero_matrices():
@@ -115,7 +116,7 @@ def test_closed_ring_rule_is_spectral_radius_of_every_pattern(seed, n):
     if report.ok:
         net = ng.FirmNetwork(m_s=m_s, m_d=m_d, d=np.ones(n))
         assert np.all(np.isfinite(dxda_batch(net, patterns)))
-        ng.solve_claims(net, rng.uniform(0.0, 2.0, size=n))
+        solve_claims(net, rng.uniform(0.0, 2.0, size=n))
 
 
 def test_validate_shape_mismatch_reported_not_raised():
@@ -180,7 +181,7 @@ def test_outside_value_without_holdings():
 def test_outside_value_conserves_assets_at_fixed_point():
     net = ng.symmetric_network(2, 0.0, 0.4)
     a = np.full(2, 0.5)
-    sol = ng.solve_claims(net, a)
+    sol = solve_claims(net, a)
     v_out = ng.outside_value(net, sol.claims)
     # all value flows outside: 0.6 * r with r = 0.5 / 0.6
     np.testing.assert_allclose(v_out, 0.5, atol=1e-12)
@@ -192,7 +193,7 @@ def test_conservation_random_fixed_points():
         n = int(rng.integers(2, 8))
         net = random_network(rng, n)
         a = rng.uniform(0.1, 3.0, size=n)
-        sol = ng.solve_claims(net, a)
+        sol = solve_claims(net, a)
         assert abs(ng.outside_value(net, sol.claims).sum() - a.sum()) < 1e-9
 
 
@@ -225,7 +226,7 @@ def test_network_json_round_trip(tmp_path):
     rng = np.random.default_rng(7)
     net = random_network(rng, 4)
     path = tmp_path / "net.json"
-    ng.save_network(net, path)
+    save_network(net, path)
     loaded = ng.load_network(path)
     np.testing.assert_array_equal(loaded.m_s, net.m_s)
     np.testing.assert_array_equal(loaded.m_d, net.m_d)
@@ -262,3 +263,35 @@ def test_array_dataclasses_compare_without_raising():
         assert a != "not a dataclass"
     # different shapes compare unequal, not raise
     assert ng.symmetric_network(2, 0.1, 0.2) != ng.symmetric_network(3, 0.1, 0.2)
+
+
+def _array_dataclasses(rng, n):
+    """One instance of each array dataclass, with the fields that stay valid
+    when one entry grows."""
+    from netgreeks.gbm import GbmParams
+    x = rng.uniform(0.1, 2.0, size=(4, n))
+    return [
+        (random_network(rng, n), ("d",)),
+        (GbmParams(a_t=x[0], sigma=x[1], r=0.01, tau=1.0, corr=np.eye(n)), ("a_t", "sigma", "r", "tau")),
+        (ng.ClaimVector(s=x[0], r=x[1]), ("s", "r")),
+        (ng.SolvencyVector((x[2] > 1.0).astype(float)), ("xi",)),
+        (ng.BatchSolution(s=x[:2], r=x[1:3], v=x[2:], xi=(x[:2] > 1.0).astype(float),
+                          iterations=7, residuals=x[3, :2]), ("s", "r", "v", "residuals")),
+        (ng.ClaimsJacobian(dxda=rng.random((2 * n, n)), xi=np.ones(n)), ("dxda",)),
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.data())
+def test_array_dataclass_equality_is_entrywise(seed, n, data):
+    rng = np.random.default_rng(seed)
+    obj, mutable = data.draw(st.sampled_from(_array_dataclasses(rng, n)))
+    copy = replace(obj, **{f.name: np.copy(getattr(obj, f.name)) for f in fields(obj) if f.init})
+    assert copy == obj and not (copy != obj)
+    name = data.draw(st.sampled_from(mutable))
+    value = np.array(getattr(obj, name), dtype=float)
+    flat = value.reshape(-1)
+    i = data.draw(st.integers(0, flat.size - 1))
+    flat[i] = 1.0 - flat[i] if name == "xi" else flat[i] * 1.5
+    changed = replace(obj, **{name: value if value.ndim else float(value)})
+    assert changed != obj and not (changed == obj)

@@ -4,7 +4,7 @@ import pytest
 import netgreeks as ng
 from netgreeks.sensitivity import dxda_batch
 from helpers import (TIGHT, fd_claims_jacobian, jacobian_g, random_interior_scenario,
-                     random_network, weighting_matrix)
+                     random_network, solve_claims, weighting_matrix)
 
 
 def test_jacobian_no_holdings_is_zero():
@@ -149,8 +149,8 @@ def test_threat_index_matches_fd_of_total_recovery():
             up, dn = a.copy(), a.copy()
             up[j] += h
             dn[j] -= h
-            fd = (ng.solve_claims(net, up, TIGHT).claims.r.sum()
-                  - ng.solve_claims(net, dn, TIGHT).claims.r.sum()) / (2 * h)
+            fd = (solve_claims(net, up, TIGHT).claims.r.sum()
+                  - solve_claims(net, dn, TIGHT).claims.r.sum()) / (2 * h)
             assert abs(mu[j] - fd) <= 1e-6 * max(1.0, abs(mu[j]))
 
 
@@ -412,3 +412,30 @@ def test_reduced_solve_factors_one_live_block_per_distinct_pattern(monkeypatch):
     assert sorted(blocks) == [1, 2, 3]
     for b, i in enumerate([0, 2, 0, 1, 3, 3, 2, 0]):
         np.testing.assert_allclose(got[b], _oracle(net, rows[i]), rtol=0, atol=1e-15)
+
+
+def test_forward_solve_matches_dense_solve_once_per_pattern(monkeypatch):
+    # v = A(xi)^{-1} b from (I - H_JJ) v_J = b_J and v_P = b_P + H_PJ v_J,
+    # with one factorization per distinct pattern that has live firms
+    import netgreeks.sensitivity as sens
+
+    factored = []
+    real = sens._solve
+
+    def spy(lhs, rhs):
+        factored.append(lhs.shape[0])
+        return real(lhs, rhs)
+
+    monkeypatch.setattr(sens, "_solve", spy)
+    worst = 0.0
+    for rng, net, xi_batch in _kernel_cases(84):
+        b = rng.uniform(-1.0, 3.0, size=xi_batch.shape)
+        solvent, inverse = sens._distinct_patterns(xi_batch)
+        factored.clear()
+        got = sens._forward_solve(net, solvent, inverse, b)
+        assert sum(factored) == sens._live(net, solvent).any(axis=1).sum()
+        for row, xi in enumerate(xi_batch):
+            a_xi = np.eye(net.n) - np.where(xi == 1.0, net.m_s, net.m_d)
+            want = np.linalg.solve(a_xi, b[row])
+            worst = max(worst, np.abs(got[row] - want).max() / np.abs(want).max())
+    assert worst <= 1e-13, worst
