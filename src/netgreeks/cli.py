@@ -1,16 +1,19 @@
 """Command-line entry point.
 
-    netgreeks <subcommand> --config FILE [--seed N] [--draws N] [--out PATH] [--threads N]
+    netgreeks <subcommand> --config FILE [--out PATH] [--seed N] [--draws N] [--threads N]
 
 Subcommands: symmetric-grid, two-firm, er-sweep, price, greeks,
 local-compare, validate.  The config file is JSON; command-line flags
-override the matching config fields.  Exit codes: 0 success, 1 failed
-validation checks, 2 configuration error, 3 solver failure.
+override the matching config fields, and a subcommand offers --seed,
+--draws and --threads only where its config reads that key.  Exit codes:
+0 success, 1 failed validation checks, 2 configuration error, 3 solver
+failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from .experiments import KINDS, ConfigError, ExperimentConfig, run_experiment
@@ -19,6 +22,9 @@ from .netgen import SinkhornError
 from .sensitivity import SensitivityError
 
 __all__ = ["main"]
+
+# config keys a subcommand also takes as flags, where its config reads them
+_FLAG_KEYS = ("seed", "draws", "threads")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -30,10 +36,10 @@ def build_parser() -> argparse.ArgumentParser:
     for kind in KINDS:
         p = sub.add_parser(kind)
         p.add_argument("--config", required=True, help="JSON config file")
-        p.add_argument("--seed", type=int, default=None, help="override config seed")
-        p.add_argument("--draws", type=int, default=None, help="override config draws")
         p.add_argument("--out", default=None, help="override config output path")
-        p.add_argument("--threads", type=int, default=None, help="worker threads")
+        for key in _FLAG_KEYS:
+            if key in ExperimentConfig.OPTIONAL[kind]:
+                p.add_argument(f"--{key}", type=int, default=None, help=f"override config {key}")
     return parser
 
 
@@ -41,12 +47,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = ExperimentConfig.from_json(args.config, kind=args.command)
-        if args.seed is not None:
-            cfg.seed = args.seed
-        if args.draws is not None:
-            cfg.draws = args.draws
-        if args.threads is not None:
-            cfg.threads = args.threads
+        flags = {key: value for key in _FLAG_KEYS
+                 if (value := getattr(args, key, None)) is not None}
+        cfg = dataclasses.replace(cfg, **flags)
         out = args.out if args.out is not None else cfg.out
         if out is None and cfg.kind != "validate":
             raise ConfigError("no output path: set 'out' in the config or pass --out")

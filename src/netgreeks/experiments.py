@@ -95,7 +95,11 @@ def _grid(obj, key) -> tuple[float, ...]:
 
 @dataclass
 class ExperimentConfig:
-    """Union of the per-kind settings; from_dict validates what each kind needs."""
+    """Union of the per-kind settings.
+
+    from_dict accepts exactly the keys a kind's runner reads; construction,
+    dataclasses.replace included, checks the ranges.
+    """
 
     kind: str
     out: str | None = None
@@ -129,8 +133,38 @@ class ExperimentConfig:
         "local-compare": ("network", "a_t", "sigma", "firm_vol"),
         "validate": ("network",),
     }
+    # the optional keys each kind's runner reads; any other key is a config error
+    OPTIONAL = {
+        "symmetric-grid": ("out", "d", "r", "tau"),
+        "two-firm": ("out", "seed", "draws", "r", "tau", "tol", "max_iter"),
+        "er-sweep": ("out", "seed", "draws", "threads", "d", "r", "tau", "sinkhorn", "tol",
+                     "max_iter"),
+        "price": ("out", "seed", "draws", "threads", "r", "tau", "corr", "tol", "max_iter"),
+        "greeks": ("out", "seed", "draws", "threads", "r", "tau", "corr", "tol", "max_iter"),
+        "local-compare": ("out", "seed", "draws", "r", "tau", "corr", "tol", "max_iter"),
+        "validate": ("out",),
+    }
+    # keys that take a number, a list or a start/stop/step grid
+    GRID = ("sigma", "a0", "w_s", "w_d", "k_mean", "a_t", "firm_vol")
     # grid keys that these kinds read as one value
     SINGLE = {"two-firm": ("a0", "w_d", "sigma"), "er-sweep": ("sigma",)}
+
+    def __post_init__(self):
+        for key in (*self.GRID, "d", "r", "tau", "tol"):
+            # unset keys are None or empty
+            if not np.all(np.isfinite(getattr(self, key) or ())):
+                raise ConfigError(f"{key} must be finite")
+        with _config_errors("fixed-point settings"):
+            self.fixed_point_config()
+        if self.draws < 2:
+            raise ConfigError("draws must be at least 2")
+        if self.threads < 1:
+            raise ConfigError("threads must be at least 1")
+        if self.networks < 1:
+            raise ConfigError("networks must be at least 1")
+        for key in self.SINGLE.get(self.kind, ()):
+            if len(getattr(self, key)) != 1:
+                raise ConfigError(f"{self.kind}: {key} takes exactly one value")
 
     @classmethod
     def from_dict(cls, obj: dict, kind: str | None = None) -> "ExperimentConfig":
@@ -148,44 +182,29 @@ class ExperimentConfig:
         missing = [key for key in cls.REQUIRED[cfg_kind] if key not in obj]
         if missing:
             raise ConfigError(f"{cfg_kind}: missing required keys {missing}")
+        reads = cls.REQUIRED[cfg_kind] + cls.OPTIONAL[cfg_kind]
+        unread = [key for key in obj if key not in reads]
+        if unread:
+            raise ConfigError(f"{cfg_kind}: unknown config keys {unread}; it reads {list(reads)}")
 
         kwargs = {"kind": cfg_kind}
-        grid_keys = ("sigma", "a0", "w_s", "w_d", "k_mean", "a_t", "firm_vol")
         simple = {"out": str, "network": str, "seed": int, "draws": int,
                   "threads": int, "networks": int, "n": int, "d": float,
                   "r": float, "tau": float, "sinkhorn": bool, "tol": float,
                   "max_iter": int}
         try:
             for key, value in obj.items():
-                if key in grid_keys:
+                if key in cls.GRID:
                     kwargs[key] = _grid(value, key)
-                elif key in simple:
-                    kwargs[key] = simple[key](value)
                 elif key == "corr":
                     kwargs[key] = value
                 else:
-                    raise ConfigError(f"unknown config key {key!r}")
+                    kwargs[key] = simple[key](value)
         except (TypeError, ValueError) as exc:
             if isinstance(exc, ConfigError):
                 raise
             raise ConfigError(f"bad value for {key!r}: {exc}") from exc
-        cfg = cls(**kwargs)
-        for key in (*grid_keys, "d", "r", "tau", "tol"):
-            # unset keys are None or empty
-            if not np.all(np.isfinite(getattr(cfg, key) or ())):
-                raise ConfigError(f"{key} must be finite")
-        with _config_errors("fixed-point settings"):
-            cfg.fixed_point_config()
-        if cfg.draws < 2:
-            raise ConfigError("draws must be at least 2")
-        if cfg.threads < 1:
-            raise ConfigError("threads must be at least 1")
-        if cfg.networks < 1:
-            raise ConfigError("networks must be at least 1")
-        for key in cls.SINGLE.get(cfg_kind, ()):
-            if len(getattr(cfg, key)) != 1:
-                raise ConfigError(f"{cfg_kind}: {key} takes exactly one value")
-        return cfg
+        return cls(**kwargs)
 
     @classmethod
     def from_json(cls, path, kind: str | None = None) -> "ExperimentConfig":

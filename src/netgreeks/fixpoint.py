@@ -19,9 +19,10 @@ LOOSE_TOL and reads xi off the loose iterate.  When a batch of B rows has
 few distinct patterns, U n <= B, it polishes: one solve per distinct
 pattern (``sensitivity._forward_solve``), re-solves of the rows whose
 v > d disagrees with xi for at most n rounds, and one map evaluation that
-checks every row against tol.  A row that fails the check, and every row of
-a batch with too many patterns to polish, goes on with plain Picard from
-the loose iterate, so the batch always meets tol.
+checks every row against tol.  The rule bounds the cost: the U inverses of
+A(xi) cost U n^3 <= B n^2 flops, one Picard sweep.  A row that fails the
+check, and every row of a batch with too many patterns to polish, goes on
+with plain Picard from the loose iterate, so the batch always meets tol.
 """
 
 from __future__ import annotations

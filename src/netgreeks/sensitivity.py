@@ -32,13 +32,10 @@ the fictitious-default reduction to the default set (Eisenberg & Noe, 2001)
 with the unheld firms folded in.  y depends on xi alone, so ``dxda_batch``
 solves once per distinct pattern of a batch and stacks the live blocks of
 equal size |J| into one LU.  The forward system A(xi) v = b, which
-finishes the valuation fixed point (``fixpoint``), splits the same way,
-
-    (I - H_JJ) v_J = b_J,   v_P = b_P + H_PJ v_J,
-
-and ``_forward_solve`` factors each distinct pattern's block once for all
-of its rows.  Both build their blocks in ``_live_blocks``; every solve with
-A(xi) in the package goes through it.
+finishes the valuation fixed point (``fixpoint``), comes from the same
+kernel: ``_forward_solve`` takes A(xi)^{-T} from one adjoint solve per
+distinct pattern with c = I and gathers v^T = b^T A(xi)^{-T} row by row.
+Every solve with A(xi) in the package runs inside ``_adjoint_solve``.
 
 Writing A(xi) = I - B(xi), B(xi) = m_d + (m_s - m_d) diag(xi), gives
 dv/da = sum_k B(xi)^k: an exposure-weighted chain of holdings whose Neumann
@@ -124,43 +121,12 @@ def _live(net: FirmNetwork, solvent: np.ndarray) -> np.ndarray:
     return np.where(solvent, np.any(net.m_s != 0.0, axis=0), np.any(net.m_d != 0.0, axis=0))
 
 
-def _live_blocks(net: FirmNetwork, solvent: np.ndarray, live: np.ndarray):
-    """One (patterns (G,), J (G, |J|), lhs (G, |J|, |J|)) per block size |J|.
-
-    The G patterns with that many live firms, their live firms J and
-    lhs[g] = (I - H_JJ)^T; patterns without live firms are skipped.
-    """
-    n = net.n
-    # firm j's column of m_d, then of m_s, as rows j and n + j, flattened
-    h_t = np.concatenate([net.m_d.T, net.m_s.T]).ravel()
-    column = solvent.astype(np.intp)
-    size = live.sum(axis=1)
-    for width in np.unique(size[size > 0]):
-        patterns = np.flatnonzero(size == width)
-        J = np.nonzero(live[patterns])[1].reshape(patterns.size, width)
-        # lhs[g, a, b] = [a == b] - H[J_b, J_a], the block (I - H_JJ)^T
-        start = (column[patterns[:, None], J] * n + J) * n
-        lhs = -h_t[start[:, :, None] + J[:, None, :]]
-        lhs[:, np.arange(width), np.arange(width)] += 1.0
-        yield patterns, J, lhs
-
-
-def _solve_live(lhs: np.ndarray, rhs: np.ndarray, solvent: np.ndarray, J: np.ndarray) -> np.ndarray:
-    """_solve on stacked live blocks; a singular one is named by its pattern and live firms."""
-    try:
-        return _solve(lhs, rhs)
-    except SensitivityError as exc:
-        bad = int(np.argmin(np.abs(np.linalg.det(lhs))))
-        pattern = "".join("1" if s else "0" for s in solvent[bad])
-        raise SensitivityError(f"{exc} at solvency pattern {pattern} "
-                               f"(live firms {J[bad].tolist()})") from exc
-
-
 def _adjoint_solve(net: FirmNetwork, solvent: np.ndarray, c: np.ndarray) -> np.ndarray:
     """y = A(xi)^{-T} c for U distinct patterns: (U, n) bool, (U, n, k) -> (U, n, k).
 
     Only the live block J of each pattern is solved; its other rows are
-    y_P = c_P.  Patterns are batched by |J|, one stacked LU per size.
+    y_P = c_P.  Patterns are batched by |J|, one stacked LU per size, and a
+    singular block is named by its pattern and live firms.
     """
     u, n, k = c.shape
     live = _live(net, solvent)
@@ -169,8 +135,23 @@ def _adjoint_solve(net: FirmNetwork, solvent: np.ndarray, c: np.ndarray) -> np.n
     held_s, held_d = ((m.T @ c_p).reshape(n, u, k).transpose(1, 0, 2) for m in (net.m_s, net.m_d))
     rhs = c + np.where(solvent[:, :, None], held_s, held_d)
     y = c.copy()
-    for patterns, J, lhs in _live_blocks(net, solvent, live):
-        y[patterns[:, None], J] = _solve_live(lhs, rhs[patterns[:, None], J], solvent[patterns], J)
+    # firm j's column of m_d, then of m_s, as rows j and n + j, flattened
+    h_t = np.concatenate([net.m_d.T, net.m_s.T]).ravel()
+    size = live.sum(axis=1)
+    for width in np.unique(size[size > 0]):
+        patterns = np.flatnonzero(size == width)
+        J = np.nonzero(live[patterns])[1].reshape(patterns.size, width)
+        # lhs[g, a, b] = [a == b] - H[J_b, J_a], the block (I - H_JJ)^T
+        start = (solvent[patterns[:, None], J] * n + J) * n
+        lhs = -h_t[start[:, :, None] + J[:, None, :]]
+        lhs[:, np.arange(width), np.arange(width)] += 1.0
+        try:
+            y[patterns[:, None], J] = _solve(lhs, rhs[patterns[:, None], J])
+        except SensitivityError as exc:
+            bad = int(np.argmin(np.abs(np.linalg.det(lhs))))
+            pattern = "".join("1" if s else "0" for s in solvent[patterns[bad]])
+            raise SensitivityError(f"{exc} at solvency pattern {pattern} "
+                                   f"(live firms {J[bad].tolist()})") from exc
     return y
 
 
@@ -178,30 +159,12 @@ def _forward_solve(net: FirmNetwork, solvent: np.ndarray, inverse: np.ndarray,
                    b: np.ndarray) -> np.ndarray:
     """v = A(xi)^{-1} b row by row: (U, n) bool patterns, (B,) row -> pattern, (B, n) -> (B, n).
 
-    The forward half of the live-block system: each distinct pattern
-    factors its block once and solves (I - H_JJ) v_J = b_J for all of its
-    rows, then v_P = b_P + H_PJ v_J.
+    v^T = b^T A(xi)^{-T}: one adjoint solve per distinct pattern with the
+    identity on the right gives A(xi)^{-T}, and each row gathers its
+    pattern's.
     """
-    order = np.argsort(inverse, kind="stable")
-    bounds = np.searchsorted(inverse[order], np.arange(len(solvent) + 1))
-    live = _live(net, solvent)
-    # rows sorted by pattern, so each pattern's rows are one slice
-    v_sorted = b[order]
-    for patterns, J, lhs in _live_blocks(net, solvent, live):
-        for g, u in enumerate(patterns):
-            rows = slice(bounds[u], bounds[u + 1])
-            v_sorted[rows, J[g]] = _solve_live(lhs[g:g + 1].transpose(0, 2, 1),
-                                               v_sorted[rows, J[g]].T[None],
-                                               solvent[u:u + 1], J[g:g + 1])[0].T
-    v = np.empty_like(b)
-    v[order] = v_sorted
-    dead = ~live[inverse]
-    if dead.any():
-        # H v needs no mask: the columns of H outside J are zero
-        xi = solvent[inverse]
-        held = np.where(xi, v, 0.0) @ net.m_s.T + np.where(xi, 0.0, v) @ net.m_d.T
-        v[dead] = b[dead] + held[dead]
-    return v
+    eye = np.broadcast_to(np.eye(net.n), (len(solvent), net.n, net.n))
+    return np.einsum("bj,bji->bi", b, _adjoint_solve(net, solvent, eye)[inverse])
 
 
 def _portfolio_weights(weights, n: int) -> np.ndarray:

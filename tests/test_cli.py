@@ -12,6 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from netgreeks.cli import main
+from netgreeks.experiments import ExperimentConfig
 from netgreeks.network import FirmNetwork
 from helpers import save_network
 
@@ -173,8 +174,12 @@ def _set(obj, path, value):
 
 
 def _exit_code(kind, cfg, directory):
+    # draws and seed only where the kind reads them: an unread key alone
+    # would exit 2 and hide what the caller planted
+    mc = {key: value for key, value in (("draws", 16), ("seed", 1))
+          if key in ExperimentConfig.OPTIONAL[kind]}
     path = Path(directory) / "cfg.json"
-    path.write_text(json.dumps({"kind": kind, "draws": 16, "seed": 1, **cfg}))
+    path.write_text(json.dumps({"kind": kind, **mc, **cfg}))
     err = io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
         code = main([kind, "--config", str(path), "--out", str(Path(directory) / "out")])
@@ -239,6 +244,13 @@ SMALL = {
                  "n": 4, "networks": 2, "draws": 16},
     "two-firm": {"a0": 1.0, "w_d": 0.4, "sigma": 0.4, "d": 1.0, "draws": 16},
     "symmetric-grid": {"a0": [0.5, 1.0], "w_s": 0.2, "w_d": 0.4, "sigma": 0.4},
+    "price": {"network": str(CONFIGS / "example_network.json"), "a_t": 1.0, "sigma": 0.4,
+              "draws": 16},
+    "greeks": {"network": str(CONFIGS / "example_network.json"), "a_t": 1.0, "sigma": 0.4,
+               "draws": 16},
+    "local-compare": {"network": str(CONFIGS / "debt_network.json"), "a_t": 1.05,
+                      "sigma": 0.4, "firm_vol": 0.4, "draws": 16},
+    "validate": {"network": str(CONFIGS / "example_network.json")},
 }
 
 
@@ -352,3 +364,61 @@ def test_local_compare_bad_local_inputs_fail_before_monte_carlo(tmp_path, capsys
 def test_unknown_subcommand_fails():
     with pytest.raises(SystemExit):
         main(["frobnicate", "--config", "x.json"])
+
+
+@pytest.mark.parametrize("kind,extra", [
+    ("symmetric-grid", {"seed": 3}),
+    ("symmetric-grid", {"draws": 100}),
+    ("symmetric-grid", {"tol": 1e-10}),
+    ("symmetric-grid", {"network": "net.json"}),
+    ("two-firm", {"w_s": 0.2}),
+    ("two-firm", {"corr": [[1.0, 0.5], [0.5, 1.0]]}),
+    ("two-firm", {"threads": 2}),
+    ("er-sweep", {"w_s": 0.2}),
+    ("er-sweep", {"a_t": 1.0}),
+    ("price", {"d": 2.0}),
+    ("price", {"w_s": 0.2}),
+    ("greeks", {"d": 2.0}),
+    ("greeks", {"w_s": 0.2}),
+    ("local-compare", {"d": 2.0}),
+    ("local-compare", {"threads": 2}),
+    ("validate", {"seed": 1}),
+])
+def test_unread_config_key_is_config_error(tmp_path, capsys, kind, extra):
+    cfg = _write(tmp_path, "cfg.json", {"kind": kind, **SMALL[kind], **extra})
+    out = tmp_path / "o"
+    assert main([kind, "--config", cfg, "--out", str(out)]) == 2
+    assert f"unknown config keys {list(extra)}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind,flag", [
+    ("symmetric-grid", "--seed"),
+    ("symmetric-grid", "--draws"),
+    ("symmetric-grid", "--threads"),
+    ("two-firm", "--threads"),
+    ("local-compare", "--threads"),
+    ("validate", "--seed"),
+    ("validate", "--draws"),
+    ("validate", "--threads"),
+])
+def test_unread_flag_exits_2(tmp_path, capsys, kind, flag):
+    cfg = _write(tmp_path, "cfg.json", {"kind": kind, **SMALL[kind]})
+    with pytest.raises(SystemExit) as exc:
+        main([kind, "--config", cfg, "--out", str(tmp_path / "o"), flag, "4"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 4" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,value,message", [
+    ("--draws", "1", "draws must be at least 2"),
+    ("--draws", "0", "draws must be at least 2"),
+    ("--threads", "0", "threads must be at least 1"),
+])
+def test_out_of_range_flag_is_config_error(tmp_path, capsys, flag, value, message):
+    # a flag override gets the same range checks as the config key
+    cfg = _write(tmp_path, "cfg.json", {"kind": "er-sweep", **SMALL["er-sweep"]})
+    out = tmp_path / "o.csv"
+    assert main(["er-sweep", "--config", cfg, "--out", str(out), flag, value]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not out.exists()

@@ -66,12 +66,16 @@ def test_from_dict_validates():
         ExperimentConfig.from_dict({"kind": "symmetric-grid", "a0": 1.0})
     with pytest.raises(ConfigError, match="unknown config key"):
         ExperimentConfig.from_dict({**good, "bogus": 1})
-    with pytest.raises(ConfigError, match="draws"):
-        ExperimentConfig.from_dict({**good, "draws": 1})
-    with pytest.raises(ConfigError, match="threads"):
-        ExperimentConfig.from_dict({**good, "threads": 0})
-    with pytest.raises(ConfigError, match="networks"):
-        ExperimentConfig.from_dict({**good, "networks": 0})
+    # the range checks, on a kind that reads these keys
+    sweep = {"kind": "er-sweep", "k_mean": 1.0, "w_d": 0.2, "a0": 1.0, "sigma": 0.4,
+             "n": 4, "networks": 2}
+    ExperimentConfig.from_dict(sweep)
+    with pytest.raises(ConfigError, match="draws must be at least 2"):
+        ExperimentConfig.from_dict({**sweep, "draws": 1})
+    with pytest.raises(ConfigError, match="threads must be at least 1"):
+        ExperimentConfig.from_dict({**sweep, "threads": 0})
+    with pytest.raises(ConfigError, match="networks must be at least 1"):
+        ExperimentConfig.from_dict({**sweep, "networks": 0})
 
 
 def test_from_dict_rejects_several_values_for_single_valued_keys():

@@ -415,8 +415,8 @@ def test_reduced_solve_factors_one_live_block_per_distinct_pattern(monkeypatch):
 
 
 def test_forward_solve_matches_dense_solve_once_per_pattern(monkeypatch):
-    # v = A(xi)^{-1} b from (I - H_JJ) v_J = b_J and v_P = b_P + H_PJ v_J,
-    # with one factorization per distinct pattern that has live firms
+    # v^T = b^T A(xi)^{-T}, A(xi)^{-T} from one adjoint solve per distinct
+    # pattern: one factorization per distinct pattern that has live firms
     import netgreeks.sensitivity as sens
 
     factored = []
@@ -439,3 +439,38 @@ def test_forward_solve_matches_dense_solve_once_per_pattern(monkeypatch):
             want = np.linalg.solve(a_xi, b[row])
             worst = max(worst, np.abs(got[row] - want).max() / np.abs(want).max())
     assert worst <= 1e-13, worst
+
+
+def test_every_solve_with_a_xi_runs_inside_the_adjoint_kernel(monkeypatch):
+    # one kernel: the polished fixed point (with a flip round), dx*/da and
+    # the single-pattern Jacobian factor A(xi) only inside _adjoint_solve
+    import netgreeks.sensitivity as sens
+
+    depth, kernel_calls, inside = [0], [], []
+    real_adjoint, real_solve = sens._adjoint_solve, sens._solve
+
+    def adjoint(*args):
+        kernel_calls.append(len(args[1]))
+        depth[0] += 1
+        try:
+            return real_adjoint(*args)
+        finally:
+            depth[0] -= 1
+
+    def solve(lhs, rhs):
+        inside.append(depth[0] > 0)
+        return real_solve(lhs, rhs)
+
+    monkeypatch.setattr(sens, "_adjoint_solve", adjoint)
+    monkeypatch.setattr(sens, "_solve", solve)
+    # both firms solvent at v* = 1.001, but Picard from below still reads
+    # xi = 00 at the loose tolerance: one solve, one flip round
+    net = ng.symmetric_network(2, 0.3, 0.6)
+    sol = ng.solve_claims_batch(net, np.full((4, 2), 0.4007))
+    np.testing.assert_array_equal(sol.xi, 1.0)
+    assert len(inside) == 2 and all(inside)
+    assert kernel_calls == [1, 1]
+    dxda_batch(net, np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [1.0, 0.0]]))
+    ng.claims_sensitivity(net, sol.xi[0])
+    assert kernel_calls == [1, 1, 3, 1]
+    assert len(inside) >= 4 and all(inside)
