@@ -476,8 +476,10 @@ def run_local_compare(cfg: ExperimentConfig, out=None) -> list[list]:
     for start in range(0, cfg.draws, size):
         z = normal_variates(cfg.seed, min(size, cfg.draws - start), n, start=start)
         sol = solve_claims_batch(net, sample_terminal(gbm, z), fp_cfg)
-        stats.append(_RunningStat.from_samples(dxda_batch(net, sol.xi, weights=debt_rows)))
-        solvent += sol.xi.sum(axis=0)
+        # draw-last: dxda_batch's (B, n, n) is a view of a contiguous (n, n, B)
+        stats.append(_RunningStat.from_samples(
+            dxda_batch(net, sol.xi, weights=debt_rows).transpose(1, 2, 0)))
+        solvent += sol.xi.T.copy().sum(axis=1)
     u_d = _tree_merge(stats)
     exact = u_d.mean
     # exact_se keeps the population divisor m2 / N of the golden

@@ -123,6 +123,15 @@ def _sweeps(net, a, s, r, tol, it, max_iter):
         s, r = s_new, r_new
 
 
+def _per_row(reduce, x):
+    """reduce(x, axis=1) of a (B, n) batch, run on a draw-last copy.
+
+    Over the trailing axis numpy reduces B short rows of n one at a time;
+    over the leading axis of the (n, B) copy it makes n contiguous passes.
+    """
+    return reduce(x.T.copy(), axis=0)
+
+
 def _convergence_error(net, v, step, cfg, rows):
     """ConvergenceError at the worst row of the last sweep; rows maps it to the batch."""
     resid = step.max(axis=1)
@@ -153,14 +162,14 @@ def _polish(net, a, solvent, inverse):
     diff_t = (net.m_d - net.m_s).T
     xi = solvent[inverse]
     v = _forward_solve(net, solvent, inverse, a + (xi * d) @ diff_t)
-    rows = np.flatnonzero(np.any((v > d) != xi, axis=1))
+    rows = np.flatnonzero(_per_row(np.any, (v > d) != xi))
     for _ in range(net.n):
         if not rows.size:
             break
         xi[rows] = v[rows] > d
         solvent, inverse = _distinct_patterns(xi[rows])
         v[rows] = _forward_solve(net, solvent, inverse, a[rows] + (xi[rows] * d) @ diff_t)
-        rows = rows[np.any((v[rows] > d) != xi[rows], axis=1)]
+        rows = rows[_per_row(np.any, (v[rows] > d) != xi[rows])]
     s, r = np.maximum(0.0, v - d), np.minimum(d, v)
     # one sweep: max_iter = 1
     return _sweeps(net, a, s, r, 0.0, 0, 1)[:4]
@@ -186,7 +195,7 @@ def _picard(net, a, cfg):
         polished = len(solvent) * net.n <= len(a)
         if polished:
             s, r, v, step = _polish(net, a, solvent, inverse)
-            rows = np.flatnonzero(step.max(axis=1) > cfg.tol)
+            rows = np.flatnonzero(_per_row(np.max, step) > cfg.tol)
         if rows.size:
             sub = _sweeps(net, a[rows], s_next[rows], r_next[rows], cfg.tol, it, cfg.max_iter)
             if sub[3].max() > cfg.tol:
@@ -195,7 +204,7 @@ def _picard(net, a, cfg):
             it = sub[4]
         it += polished
     xi = (v > d).astype(float)
-    return s, r, v, xi, it, step.max(axis=1)
+    return s, r, v, xi, it, _per_row(np.max, step)
 
 
 def solve_claims_batch(net: FirmNetwork, a,

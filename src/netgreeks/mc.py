@@ -8,9 +8,12 @@ locally constant in every parameter, so the kink contributes nothing):
     d x_t / d theta = E[ d(e^{-r tau})/d theta x* + e^{-r tau} dx*/da dA_T/d theta ]
 
 Only rho and theta pick up a discount-derivative term.  Estimates stream
-through fixed-size chunks; per-chunk moments are combined with a pairwise
-merge in deterministic order, so results are bit-identical for any thread
-count.
+through fixed-size chunks.  Each chunk lays its per-draw statistics out
+draw-last, as C-contiguous (..., B) arrays: sums over claims or firms reduce
+leading axes, and the chunk's mean and M2 are numpy's pairwise sums along
+the contiguous draw axis (Higham, 1993), not B - 1 additions of short rows.
+Per-chunk moments are combined with a pairwise merge in deterministic order,
+so results are bit-identical for any thread count.
 """
 
 from __future__ import annotations
@@ -22,7 +25,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .fixpoint import DEFAULT_CONFIG, ConvergenceError, FixedPointConfig, solve_claims_batch
+from .fixpoint import (DEFAULT_CONFIG, ConvergenceError, FixedPointConfig, _per_row,
+                       solve_claims_batch)
 from .gbm import GbmParams, normal_variates, sample_terminal, terminal_partials
 from .network import FirmNetwork, _ArrayEq
 from .sensitivity import _portfolio_weights, dxda_batch
@@ -50,7 +54,11 @@ def _chunk_size(n: int) -> int:
 
 @dataclass
 class _RunningStat:
-    """Mergeable mean/M2 accumulator (Welford form) over the leading axis."""
+    """Mergeable mean/M2 accumulator (Welford form) over the last axis.
+
+    from_samples takes a draw-last (..., B) array; its mean and centred M2
+    are pairwise sums along the contiguous draw axis.
+    """
 
     count: int
     mean: np.ndarray
@@ -58,9 +66,9 @@ class _RunningStat:
 
     @classmethod
     def from_samples(cls, x: np.ndarray) -> "_RunningStat":
-        count = x.shape[0]
-        mean = x.mean(axis=0)
-        m2 = np.square(x - mean).sum(axis=0)
+        count = x.shape[-1]
+        mean = x.mean(axis=-1)
+        m2 = np.square(x - mean[..., None]).sum(axis=-1)
         return cls(count=count, mean=mean, m2=m2)
 
     def merge(self, other: "_RunningStat") -> "_RunningStat":
@@ -179,28 +187,30 @@ def _mc_chunk(net, gbm, cfg, seed, start, count, want_greeks, weights):
             claims=exc.claims, residual=exc.residual,
             iterations=exc.iterations, draw=start + (exc.draw or 0),
         ) from exc
-    x = np.hstack([sol.s, sol.r])
+    boundary = int(_per_row(np.any, np.abs(sol.v - net.d) <= _BOUNDARY_REL * net.d).sum())
+    # draw-last from here on: (2n, B) claims, (n, B) per-firm statistics
+    x = np.hstack([sol.s, sol.r]).T.copy()
     if weights is not None:
-        x = x @ weights.T
+        x = weights @ x
     disc = np.exp(-gbm.r * gbm.tau)
-    boundary = int(np.any(np.abs(sol.v - net.d) <= _BOUNDARY_REL * net.d, axis=1).sum())
 
-    out = {"price": disc * x, "solvent": sol.xi}
+    out = {"price": disc * x, "solvent": sol.xi.T.copy()}
     if want_greeks:
-        dxda = dxda_batch(net, sol.xi, weights=weights)
-        da_t, dsigma, dr, dtau = terminal_partials(gbm, z, a_T)
-        delta = disc * dxda * da_t[:, None, :]
-        vega = disc * dxda * dsigma[:, None, :]
+        # (k, n, B), the C-contiguous array behind dxda_batch's (B, k, n) view
+        dxda = dxda_batch(net, sol.xi, weights=weights).transpose(1, 2, 0)
+        da_t, dsigma, dr, dtau = (p.T.copy() for p in terminal_partials(gbm, z, a_T))
+        delta = dxda * (disc * da_t)
+        vega = dxda * (disc * dsigma)
         out["delta"] = delta
         out["vega"] = vega
-        out["delta_total"] = delta.sum(axis=1)
-        out["delta_uniform"] = delta.sum(axis=2)
-        out["vega_uniform"] = vega.sum(axis=2)
+        out["delta_total"] = delta.sum(axis=0)
+        out["delta_uniform"] = delta.sum(axis=1)
+        out["vega_uniform"] = vega.sum(axis=1)
         # rho and theta carry the discount-factor derivative alongside the
         # pathwise term; theta is quoted as -d(price)/d(tau)
-        out["rho"] = disc * (-gbm.tau * x + np.einsum("bkj,bj->bk", dxda, dr))
-        out["theta"] = -disc * (-gbm.r * x + np.einsum("bkj,bj->bk", dxda, dtau))
-        out["pi"] = dxda.sum(axis=1)
+        out["rho"] = disc * (-gbm.tau * x + np.einsum("kjb,jb->kb", dxda, dr))
+        out["theta"] = -disc * (-gbm.r * x + np.einsum("kjb,jb->kb", dxda, dtau))
+        out["pi"] = dxda.sum(axis=0)
     return {name: _RunningStat.from_samples(arr) for name, arr in out.items()}, boundary
 
 

@@ -98,15 +98,25 @@ def _require_debt_only(net: FirmNetwork, what: str) -> None:
 def _distinct_patterns(xi_batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Distinct rows of a (B, n) 0/1 batch -> (solvent (U, n) bool, row -> pattern (B,)).
 
-    Rows are keyed by their packed bits and the keys sorted, so the distinct
-    patterns and their order depend only on the set of rows, not on the
-    order of the batch.
+    Rows are keyed by their bits, zero-padded to whole 64-bit words and read
+    as big-endian uint64 so that word order is bit order, and the keys sorted
+    lexicographically: the distinct patterns and their order depend only on
+    the set of rows, not on the order of the batch.
     """
     solvent = xi_batch == 1.0
-    keys = np.packbits(solvent, axis=1)
-    keys = keys.view(np.dtype((np.void, keys.shape[1]))).ravel()
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    return solvent[first], inverse
+    b, n = solvent.shape
+    width = -(-n // 64)
+    bits = np.zeros((b, 64 * width), dtype=bool)
+    bits[:, :n] = solvent
+    words = np.packbits(bits).view(">u8").reshape(b, width)
+    # stable, so each pattern's first sorted row is its first row in the batch
+    order = np.lexsort(words.T[::-1])
+    words = words[order]
+    starts = np.ones(b, dtype=bool)
+    starts[1:] = np.any(words[1:] != words[:-1], axis=1)
+    inverse = np.empty(b, dtype=np.intp)
+    inverse[order] = np.cumsum(starts) - 1
+    return solvent[order[starts]], inverse
 
 
 def _solve(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -205,13 +215,16 @@ def dxda_batch(net: FirmNetwork, xi_batch: np.ndarray, *, weights=None) -> np.nd
     solve with A(xi): each distinct pattern of the batch gets one reduced
     adjoint solve A(xi)^T y = Xi w_s + (I - Xi) w_d with k right-hand sides
     on its live firms J (see the module docstring), and the rows of the
-    batch gather their pattern's result.
+    batch gather their pattern's result.  The (B, k, n) result is a view of
+    a C-contiguous draw-last (k, n, B) array, the layout the Monte Carlo
+    chunk reduces in (``mc``).
     """
     n = net.n
     weights = np.eye(2 * n) if weights is None else _portfolio_weights(weights, n)
     solvent, inverse = _distinct_patterns(np.asarray(xi_batch, dtype=float))
     c = np.where(solvent[:, :, None], weights[:, :n].T, weights[:, n:].T)
-    return _adjoint_solve(net, solvent, c).transpose(0, 2, 1)[inverse]
+    y = _adjoint_solve(net, solvent, c).transpose(2, 1, 0)
+    return np.take(y, inverse, axis=2).transpose(2, 0, 1)
 
 
 def claims_sensitivity(net: FirmNetwork, xi) -> ClaimsJacobian:

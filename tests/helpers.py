@@ -1,6 +1,6 @@
 """Shared test utilities: random admissible networks, finite differences, the
-single-scenario solver API, and the plain Picard and 2n x 2n sensitivity
-oracles."""
+single-scenario solver API, and the plain Picard, pattern-keying and 2n x 2n
+sensitivity oracles."""
 
 from __future__ import annotations
 
@@ -73,6 +73,19 @@ def picard_oracle(net: FirmNetwork, a, cfg: FixedPointConfig = DEFAULT_CONFIG):
             return s, r, v, (v > d).astype(float), it, resid
         s, r = s_new, r_new
     raise ConvergenceError(f"no convergence after {cfg.max_iter} iterations")
+
+
+def distinct_patterns_oracle(xi_batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``sensitivity._distinct_patterns`` by np.unique over void keys of the packed bits.
+
+    The keying before the uint64 words, kept as their oracle: the same
+    patterns, in the same order, with the same row -> pattern map.
+    """
+    solvent = xi_batch == 1.0
+    keys = np.packbits(solvent, axis=1)
+    keys = keys.view(np.dtype((np.void, keys.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return solvent[first], inverse
 
 
 def random_holdings(rng, n, cap=0.9, density=0.6):

@@ -1,14 +1,17 @@
 """Monte Carlo engine: oracle agreement, derivative checks, determinism."""
 
 import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import netgreeks as ng
+from netgreeks.experiments import ExperimentConfig, run_local_compare
 from netgreeks.fixpoint import ConvergenceError, FixedPointConfig
 from netgreeks.gbm import GbmParams
-from netgreeks.mc import GreekReport, mc_greeks, price_claims
+from netgreeks.mc import GreekReport, _chunk_size, _RunningStat, mc_greeks, price_claims
 from netgreeks.symmetric import (
     SymmetricParams,
     symmetric_greeks,
@@ -258,3 +261,55 @@ def test_weighted_report_is_projection_of_full_report():
     np.testing.assert_allclose(ones.delta_total, full.delta_total, rtol=1e-12, atol=1e-15)
     np.testing.assert_array_equal(rep.default_prob, full.default_prob)
     assert rep.boundary_hits == full.boundary_hits
+
+
+def test_moments_get_contiguous_draw_last_chunks(monkeypatch, tmp_path):
+    # every statistic reaches the accumulator as a C-contiguous array with
+    # the chunk's draws on its last axis, so mean and M2 reduce along it
+    seen = []
+    real = _RunningStat.from_samples.__func__
+
+    def spy(cls, x):
+        seen.append(x)
+        return real(cls, x)
+
+    monkeypatch.setattr(_RunningStat, "from_samples", classmethod(spy))
+
+    def chunk_counts(n, draws):
+        size = _chunk_size(n)
+        return {min(size, draws - start) for start in range(0, draws, size)}
+
+    rng = np.random.default_rng(23)
+    net = random_network(rng, 3)
+    gbm = GbmParams(a_t=[1.0, 0.9, 1.2], sigma=[0.4, 0.3, 0.5], r=0.01, tau=1.0,
+                    corr=np.eye(3))
+    draws = _chunk_size(3) + 300   # two chunks of different sizes
+    debt = Path(__file__).resolve().parent.parent / "configs" / "debt_network.json"
+    runs = [
+        (3, draws, lambda: mc_greeks(net, gbm, draws, seed=24)),
+        (3, draws, lambda: mc_greeks(net, gbm, draws, seed=24, weights=rng.random((2, 6)))),
+        (3, draws, lambda: price_claims(net, gbm, draws, seed=24)),
+        (ng.load_network(debt).n, 500, lambda: run_local_compare(ExperimentConfig.from_dict(
+            {"kind": "local-compare", "network": str(debt), "a_t": 1.05, "sigma": 0.4,
+             "firm_vol": 0.4, "draws": 500, "seed": 2}), out=tmp_path / "local.csv")),
+    ]
+    for n, count, run in runs:
+        seen.clear()
+        run()
+        assert seen
+        assert all(x.flags.c_contiguous for x in seen)
+        assert {x.shape[-1] for x in seen} == chunk_counts(n, count)
+
+
+def test_chunk_moments_are_accurate_on_a_large_offset():
+    # pairwise sums along the draw axis: the mean of 1e6 + N(0, 1) to a few
+    # ulps of the exactly rounded fsum, M2 to 1e-12 of its fsum-centred value
+    rng = np.random.default_rng(25)
+    x = np.array([1e6, -3e5])[:, None] + rng.standard_normal((2, 8192))
+    stat = _RunningStat.from_samples(x)
+    assert stat.count == 8192 and stat.mean.shape == (2,)
+    for row, mean, m2 in zip(x, stat.mean, stat.m2):
+        want = math.fsum(row) / row.size
+        assert abs(mean - want) <= 1e-14 * abs(want)
+        want_m2 = math.fsum((v - want) ** 2 for v in row)
+        assert abs(m2 - want_m2) <= 1e-12 * want_m2

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import netgreeks as ng
-from netgreeks.sensitivity import dxda_batch
-from helpers import (TIGHT, fd_claims_jacobian, jacobian_g, random_interior_scenario,
-                     random_network, solve_claims, weighting_matrix)
+from netgreeks.sensitivity import _distinct_patterns, dxda_batch
+from helpers import (TIGHT, distinct_patterns_oracle, fd_claims_jacobian, jacobian_g,
+                     random_interior_scenario, random_network, solve_claims,
+                     weighting_matrix)
 
 
 def test_jacobian_no_holdings_is_zero():
@@ -474,3 +477,31 @@ def test_every_solve_with_a_xi_runs_inside_the_adjoint_kernel(monkeypatch):
     ng.claims_sensitivity(net, sol.xi[0])
     assert kernel_calls == [1, 1, 3, 1]
     assert len(inside) >= 4 and all(inside)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 130), st.integers(1, 300),
+       st.sampled_from(["repeated", "all_equal", "all_distinct", "random"]),
+       st.integers(0, 2**32 - 1))
+def test_distinct_patterns_match_sorted_void_keys(n, rows, batch, seed):
+    # uint64 words, several of them past n = 64, sort like the packed bytes
+    rng = np.random.default_rng(seed)
+    if batch == "all_distinct":
+        # distinct binary numbers, spread over the first, middle and last words
+        rows = min(rows, 2 ** min(n, 16))
+        codes = rng.choice(2 ** min(n, 16), size=rows, replace=False)
+        xi = np.zeros((rows, n))
+        for bit, firm in enumerate(rng.choice(n, size=min(n, 16), replace=False)):
+            xi[:, firm] = (codes >> bit) & 1
+    elif batch == "all_equal":
+        xi = np.repeat((rng.random((1, n)) < 0.5).astype(float), rows, axis=0)
+    elif batch == "repeated":
+        few = (rng.random((int(rng.integers(1, 5)), n)) < 0.5).astype(float)
+        xi = few[rng.integers(0, len(few), size=rows)]
+    else:
+        xi = (rng.random((rows, n)) < rng.random()).astype(float)
+    solvent, inverse = _distinct_patterns(xi)
+    want_solvent, want_inverse = distinct_patterns_oracle(xi)
+    np.testing.assert_array_equal(solvent, want_solvent)
+    np.testing.assert_array_equal(inverse, want_inverse)
+    assert len(solvent) == len({row.tobytes() for row in xi})
