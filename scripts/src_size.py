@@ -1,0 +1,27 @@
+#!/usr/bin/env python3
+"""Size of the package: lines in src/netgreeks/*.py and names netgreeks exports.
+
+The exported names are the public, non-module attributes of the imported
+package, the names ``from netgreeks import ...`` offers.
+
+    PYTHONPATH=src python3 scripts/src_size.py
+"""
+
+import inspect
+from pathlib import Path
+
+import netgreeks
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "netgreeks"
+
+
+def main() -> None:
+    lines = sum(len(path.read_text().splitlines()) for path in SRC.glob("*.py"))
+    names = [name for name, value in vars(netgreeks).items()
+             if not name.startswith("_") and not inspect.ismodule(value)]
+    print(f"src/netgreeks/*.py: {lines} lines")
+    print(f"netgreeks exports: {len(names)} names")
+
+
+if __name__ == "__main__":
+    main()

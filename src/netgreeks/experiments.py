@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import product
@@ -20,13 +19,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .fixpoint import FixedPointConfig, solve_claims_batch
+from .fixpoint import ConvergenceError, FixedPointConfig, solve_claims_batch
 from .gbm import GbmParams, normal_variates, sample_terminal
 from .local import (_checked_firm_vol, independent_default_delta, local_delta,
                     local_fixed_point, marginal_contagion)
-from .mc import _chunk_size, _RunningStat, _tree_merge, mc_greeks, price_claims
+from .mc import (_at_draw, _chunk_size, _ordered_map, _RunningStat, _tree_merge, mc_greeks,
+                 price_claims)
 from .netgen import er_network
-from .network import FirmNetwork, load_network, validate_network
+from .network import FirmNetwork, load_network, symmetric_network, validate_network
 from .sensitivity import dxda_batch
 from .symmetric import (SymmetricParams, symmetric_expost, symmetric_greeks,
                         symmetric_pi, symmetric_price)
@@ -70,9 +70,9 @@ def _fmt(value) -> str:
 
 
 def write_csv(path, header: list[str], rows: list[list]) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    Path(path).write_text("\n".join(lines) + "\n")
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(_fmt(v) for v in row) + "\n" for row in rows)
 
 
 def _grid(obj, key) -> tuple[float, ...]:
@@ -235,11 +235,17 @@ def _task_seed(base: int, *tags: int) -> int:
     return int(seq.generate_state(1, np.uint64)[0])
 
 
-def _ordered_map(fn, tasks, threads: int) -> list:
-    if threads > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, tasks))
-    return [fn(t) for t in tasks]
+def _solved_chunks(cfg: ExperimentConfig, net: FirmNetwork, gbm: GbmParams):
+    """(start, a_T, solution) per Monte Carlo chunk of the cfg.draws draws, in order."""
+    size = _chunk_size(net.n)
+    for start in range(0, cfg.draws, size):
+        z = normal_variates(cfg.seed, min(size, cfg.draws - start), net.n, start=start)
+        a_T = sample_terminal(gbm, z)
+        try:
+            sol = solve_claims_batch(net, a_T, cfg.fixed_point_config())
+        except ConvergenceError as exc:
+            raise _at_draw(exc, start) from exc
+        yield start, a_T, sol
 
 
 # ---------------------------------------------------------------------------
@@ -285,17 +291,15 @@ def run_two_firm(cfg: ExperimentConfig, out=None) -> list[list]:
     Assets are independent; any correlation between realized firm values is
     generated by the cross-holdings alone.
     """
-    w_d = cfg.w_d[0]
-    m_d = np.array([[0.0, w_d], [w_d, 0.0]])
     with _config_errors("network"):
-        net = FirmNetwork(m_s=np.zeros((2, 2)), m_d=m_d, d=np.full(2, cfg.d))
+        net = symmetric_network(2, 0.0, cfg.w_d[0], cfg.d)
     with _config_errors("asset model"):
         gbm = GbmParams(a_t=np.full(2, cfg.a0[0]), sigma=np.full(2, cfg.sigma[0]),
                         r=cfg.r, tau=cfg.tau, corr=np.eye(2))
-    a_T = sample_terminal(gbm, normal_variates(cfg.seed, cfg.draws, 2))
-    sol = solve_claims_batch(net, a_T, cfg.fixed_point_config())
-    rows = [[i, cfg.seed, a_T[i, 0], a_T[i, 1], sol.v[i, 0], sol.v[i, 1],
-             int(sol.xi[i, 0]), int(sol.xi[i, 1])] for i in range(cfg.draws)]
+    rows = []
+    for start, a_T, sol in _solved_chunks(cfg, net, gbm):
+        rows.extend([start + i, cfg.seed, *a_T[i], *sol.v[i], *map(int, sol.xi[i])]
+                    for i in range(len(a_T)))
     if out is not None:
         write_csv(out, TWO_FIRM_HEADER, rows)
     return rows
@@ -464,22 +468,18 @@ def run_local_compare(cfg: ExperimentConfig, out=None) -> list[list]:
     net = _load_net(cfg)
     n = net.n
     gbm = _gbm_from_config(cfg, net)
-    fp_cfg = cfg.fixed_point_config()
     # the local approximations' inputs, checked before the Monte Carlo pass
     with _config_errors("local approximation"):
         _checked_firm_vol(net, cfg.firm_vol, cfg.tau)
 
-    size = _chunk_size(n)
     debt_rows = np.hstack([np.zeros((n, n)), np.eye(n)])
     stats = []
     solvent = np.zeros(n)
-    for start in range(0, cfg.draws, size):
-        z = normal_variates(cfg.seed, min(size, cfg.draws - start), n, start=start)
-        sol = solve_claims_batch(net, sample_terminal(gbm, z), fp_cfg)
+    for _, _, sol in _solved_chunks(cfg, net, gbm):
         # draw-last: dxda_batch's (B, n, n) is a view of a contiguous (n, n, B)
         stats.append(_RunningStat.from_samples(
             dxda_batch(net, sol.xi, weights=debt_rows).transpose(1, 2, 0)))
-        solvent += sol.xi.T.copy().sum(axis=1)
+        solvent += sol.xi.T.sum(axis=1)
     u_d = _tree_merge(stats)
     exact = u_d.mean
     # exact_se keeps the population divisor m2 / N of the golden
@@ -489,7 +489,8 @@ def run_local_compare(cfg: ExperimentConfig, out=None) -> list[list]:
 
     indep = independent_default_delta(net, pd)
     amplification = marginal_contagion(net, pd, np.eye(n))
-    state = local_fixed_point(net, gbm.a_t, cfg.r, cfg.tau, cfg.firm_vol, cfg=fp_cfg)
+    state = local_fixed_point(net, gbm.a_t, cfg.r, cfg.tau, cfg.firm_vol,
+                              cfg=cfg.fixed_point_config())
     ldelta = local_delta(state, net)
 
     rows = []

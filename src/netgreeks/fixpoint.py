@@ -15,14 +15,18 @@ settles long before.  Once xi is known the fixed point is one linear solve,
 
 the fictitious-default system of Eisenberg & Noe (2001) extended to equity
 cross-holdings.  ``solve_claims_batch`` therefore runs Picard only to
-LOOSE_TOL and reads xi off the loose iterate.  When a batch of B rows has
+LOOSE_TOL and reads xi off the loose iterate.  When a batch of B draws has
 few distinct patterns, U n <= B, it polishes: one solve per distinct
-pattern (``sensitivity._forward_solve``), re-solves of the rows whose
+pattern (``sensitivity._forward_solve``), re-solves of the draws whose
 v > d disagrees with xi for at most n rounds, and one map evaluation that
-checks every row against tol.  The rule bounds the cost: the U inverses of
-A(xi) cost U n^3 <= B n^2 flops, one Picard sweep.  A row that fails the
-check, and every row of a batch with too many patterns to polish, goes on
+checks every draw against tol.  The rule bounds the cost: the U inverses of
+A(xi) cost U n^3 <= B n^2 flops, one Picard sweep.  A draw that fails the
+check, and every draw of a batch with too many patterns to polish, goes on
 with plain Picard from the loose iterate, so the batch always meets tol.
+
+The solver works draw-last, on C-contiguous (n, B) arrays, as ``mc`` does;
+its products with the holdings sum in the draw-major order (``_dot``), so
+an unpolished batch is bit for bit the plain draw-major Picard loop.
 """
 
 from __future__ import annotations
@@ -84,13 +88,14 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class BatchSolution(_ArrayEq):
-    """Vectorized solution over a batch of asset scenarios (rows).
+    """Vectorized solution over a batch of B asset scenarios (draws).
 
+    s, r, v and xi are (B, n) views of C-contiguous draw-last (n, B) arrays.
     iterations counts map evaluations over the whole batch: the Picard
     sweeps (loose phase plus any fallback) and, when the batch was
     polished, the one verifying sweep; the linear solves are not counted.
     Without the polish it is the plain Picard count.  residuals is each
-    row's ||g(x) - x||_inf at the returned claims, at most tol.
+    draw's ||g(x) - x||_inf at the returned claims, at most tol.
     """
 
     s: np.ndarray            # (B, n)
@@ -101,19 +106,22 @@ class BatchSolution(_ArrayEq):
     residuals: np.ndarray    # (B,) final sup-norm per scenario
 
 
+def _dot(m, x):
+    """m @ x for draw-last x, as (x^T m^T)^T: BLAS sums in the draw-major order."""
+    return (x.T @ m.T).T
+
+
 def _sweeps(net, a, s, r, tol, it, max_iter):
-    """Picard sweeps from (s, r) until every row's step is <= tol or it reaches max_iter.
+    """Picard sweeps from (s, r) until every draw's step is <= tol or it reaches max_iter.
 
     it counts the map evaluations already spent.  Returns (s, r, v, step,
     it): the iterate at which the step ||g(x) - x|| was measured, its firm
-    value and the per-firm step.  The caller checks convergence; the next
-    iterate is g(x) = (max(0, v - d), min(d, v)).
+    value and the per-firm step, all (n, B).  The caller checks convergence;
+    the next iterate is g(x) = (max(0, v - d), min(d, v)).
     """
-    d = net.d
-    ms_t = net.m_s.T
-    md_t = net.m_d.T
+    d = net.d[:, None]
     while True:
-        v = a + s @ ms_t + r @ md_t
+        v = a + _dot(net.m_s, s) + _dot(net.m_d, r)
         s_new = np.maximum(0.0, v - d)
         r_new = np.minimum(d, v)
         step = np.maximum(np.abs(s_new - s), np.abs(r_new - r))
@@ -123,27 +131,19 @@ def _sweeps(net, a, s, r, tol, it, max_iter):
         s, r = s_new, r_new
 
 
-def _per_row(reduce, x):
-    """reduce(x, axis=1) of a (B, n) batch, run on a draw-last copy.
-
-    Over the trailing axis numpy reduces B short rows of n one at a time;
-    over the leading axis of the (n, B) copy it makes n contiguous passes.
-    """
-    return reduce(x.T.copy(), axis=0)
-
-
 def _convergence_error(net, v, step, cfg, rows):
-    """ConvergenceError at the worst row of the last sweep; rows maps it to the batch."""
-    resid = step.max(axis=1)
+    """ConvergenceError at the worst draw of the last sweep; rows maps it to the batch."""
+    resid = step.max(axis=0)
     worst = int(np.argmax(resid))
     draw = int(rows[worst])
-    firms = np.flatnonzero(step[worst] > cfg.tol).tolist()
-    xi = "".join("1" if solvent else "0" for solvent in v[worst] > net.d)
+    v = v[:, worst]
+    firms = np.flatnonzero(step[:, worst] > cfg.tol).tolist()
+    xi = "".join("1" if solvent else "0" for solvent in v > net.d)
     return ConvergenceError(
         f"no convergence after {cfg.max_iter} iterations "
         f"(worst scenario {draw}, residual {resid[worst]:.3e}, "
         f"unconverged firms {firms}, solvency pattern xi={xi})",
-        claims=ClaimVector(s=np.maximum(0.0, v[worst] - net.d), r=np.minimum(net.d, v[worst])),
+        claims=ClaimVector(s=np.maximum(0.0, v - net.d), r=np.minimum(net.d, v)),
         residual=float(resid[worst]),
         iterations=cfg.max_iter,
         draw=draw,
@@ -151,60 +151,61 @@ def _convergence_error(net, v, step, cfg, rows):
 
 
 def _polish(net, a, solvent, inverse):
-    """Exact fixed point of every row from the solvency patterns of a loose iterate.
+    """Exact fixed point of every draw from the solvency patterns of a loose iterate.
 
     Solves A(xi) v = a + (m_d - m_s) Xi d once per distinct pattern
-    (``sensitivity._forward_solve``), then re-solves only the rows whose
+    (``sensitivity._forward_solve``), then re-solves only the draws whose
     v > d disagrees with their pattern, for at most n rounds.  Returns
     (s, r, v, step) as ``_sweeps`` does, from one verifying map evaluation.
     """
-    d = net.d
-    diff_t = (net.m_d - net.m_s).T
-    xi = solvent[inverse]
-    v = _forward_solve(net, solvent, inverse, a + (xi * d) @ diff_t)
-    rows = np.flatnonzero(_per_row(np.any, (v > d) != xi))
+    d = net.d[:, None]
+    diff = net.m_d - net.m_s
+    xi = np.take(solvent.T, inverse, axis=1)
+    v = _forward_solve(net, solvent, inverse, a + _dot(diff, xi * d))
+    rows = np.flatnonzero(np.any((v > d) != xi, axis=0))
     for _ in range(net.n):
         if not rows.size:
             break
-        xi[rows] = v[rows] > d
-        solvent, inverse = _distinct_patterns(xi[rows])
-        v[rows] = _forward_solve(net, solvent, inverse, a[rows] + (xi[rows] * d) @ diff_t)
-        rows = rows[_per_row(np.any, (v[rows] > d) != xi[rows])]
+        xi[:, rows] = v[:, rows] > d
+        solvent, inverse = _distinct_patterns(xi[:, rows].T)
+        v[:, rows] = _forward_solve(net, solvent, inverse, a[:, rows] + _dot(diff, xi[:, rows] * d))
+        rows = rows[np.any((v[:, rows] > d) != xi[:, rows], axis=0)]
     s, r = np.maximum(0.0, v - d), np.minimum(d, v)
     # one sweep: max_iter = 1
     return _sweeps(net, a, s, r, 0.0, 0, 1)[:4]
 
 
 def _picard(net, a, cfg):
-    """Fixed point of every row of a (B, n) batch: loose Picard, then polish or more Picard.
+    """Fixed point of every draw of an (n, B) batch: loose Picard, then polish or more Picard.
 
-    Returns (s, r, v, xi, iterations, residuals).  The returned claims are
-    the iterate at which the residual ||g(x) - x|| was measured, so the
-    post-condition ||x - g(a, x)||_inf <= tol holds exactly.
+    Returns (s, r, v, xi, iterations, residuals), each array draw-last.  The
+    returned claims are the iterate at which the residual ||g(x) - x|| was
+    measured, so the post-condition ||x - g(a, x)||_inf <= tol holds exactly.
     """
-    d = net.d
+    d = net.d[:, None]
     loose = max(cfg.tol, LOOSE_TOL)
     s, r, v, step, it = _sweeps(net, a, np.zeros_like(a), np.minimum(d, a), loose, 0, cfg.max_iter)
-    rows = np.arange(len(a))
+    rows = np.arange(a.shape[1])
     if step.max() > cfg.tol:
         if it >= cfg.max_iter:
             raise _convergence_error(net, v, step, cfg, rows)
         # the plain iteration's next iterate, where any fallback resumes
         s_next, r_next = np.maximum(0.0, v - d), np.minimum(d, v)
-        solvent, inverse = _distinct_patterns(v > d)
-        polished = len(solvent) * net.n <= len(a)
+        solvent, inverse = _distinct_patterns((v > d).T)
+        polished = len(solvent) * net.n <= a.shape[1]
         if polished:
             s, r, v, step = _polish(net, a, solvent, inverse)
-            rows = np.flatnonzero(_per_row(np.max, step) > cfg.tol)
+            rows = np.flatnonzero(step.max(axis=0) > cfg.tol)
         if rows.size:
-            sub = _sweeps(net, a[rows], s_next[rows], r_next[rows], cfg.tol, it, cfg.max_iter)
+            sub = _sweeps(net, a[:, rows], s_next[:, rows], r_next[:, rows], cfg.tol, it,
+                          cfg.max_iter)
             if sub[3].max() > cfg.tol:
                 raise _convergence_error(net, sub[2], sub[3], cfg, rows)
-            s[rows], r[rows], v[rows], step[rows] = sub[:4]
+            s[:, rows], r[:, rows], v[:, rows], step[:, rows] = sub[:4]
             it = sub[4]
         it += polished
     xi = (v > d).astype(float)
-    return s, r, v, xi, it, _per_row(np.max, step)
+    return s, r, v, xi, it, step.max(axis=0)
 
 
 def solve_claims_batch(net: FirmNetwork, a,
@@ -215,5 +216,5 @@ def solve_claims_batch(net: FirmNetwork, a,
         raise ValueError(f"scenario array has {a.shape[1]} columns, network has {net.n} firms")
     if np.any(a <= 0.0):
         raise ValueError("external asset values must be strictly positive")
-    s, r, v, xi, it, resid = _picard(net, a, cfg)
-    return BatchSolution(s=s, r=r, v=v, xi=xi, iterations=it, residuals=resid)
+    s, r, v, xi, it, resid = _picard(net, a.T.copy(), cfg)
+    return BatchSolution(s=s.T, r=r.T, v=v.T, xi=xi.T, iterations=it, residuals=resid)

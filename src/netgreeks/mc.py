@@ -8,10 +8,11 @@ locally constant in every parameter, so the kink contributes nothing):
     d x_t / d theta = E[ d(e^{-r tau})/d theta x* + e^{-r tau} dx*/da dA_T/d theta ]
 
 Only rho and theta pick up a discount-derivative term.  Estimates stream
-through fixed-size chunks.  Each chunk lays its per-draw statistics out
-draw-last, as C-contiguous (..., B) arrays: sums over claims or firms reduce
-leading axes, and the chunk's mean and M2 are numpy's pairwise sums along
-the contiguous draw axis (Higham, 1993), not B - 1 additions of short rows.
+through fixed-size chunks, draw-last from the fixed point on: the solution's
+(B, n) fields and dxda_batch's (B, k, n) result are views of C-contiguous
+(..., B) arrays, which the chunk uses as they are.  Sums over claims or
+firms reduce leading axes, and the chunk's mean and M2 are numpy's pairwise
+sums along the contiguous draw axis (Higham, 1993).
 Per-chunk moments are combined with a pairwise merge in deterministic order,
 so results are bit-identical for any thread count.
 """
@@ -25,8 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fixpoint import (DEFAULT_CONFIG, ConvergenceError, FixedPointConfig, _per_row,
-                       solve_claims_batch)
+from .fixpoint import DEFAULT_CONFIG, ConvergenceError, FixedPointConfig, solve_claims_batch
 from .gbm import GbmParams, normal_variates, sample_terminal, terminal_partials
 from .network import FirmNetwork, _ArrayEq
 from .sensitivity import _portfolio_weights, dxda_batch
@@ -83,6 +83,13 @@ class _RunningStat:
         if self.count < 2:
             return np.full_like(np.asarray(self.mean, dtype=float), np.nan)
         return np.sqrt(self.m2 / (self.count - 1) / self.count)
+
+
+def _ordered_map(fn, tasks, threads: int) -> list:
+    if threads > 1 and len(tasks) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(fn, tasks))
+    return [fn(t) for t in tasks]
 
 
 def _tree_merge(stats: list[_RunningStat]) -> _RunningStat:
@@ -176,25 +183,28 @@ class GreekReport(_ArrayEq):
         Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n")
 
 
+def _at_draw(exc: ConvergenceError, start: int) -> ConvergenceError:
+    """A chunk's ConvergenceError with its draw counted from the first draw of the run."""
+    draw = start + (exc.draw or 0)
+    return ConvergenceError(f"scenario solve failed at draw {draw}: {exc}", claims=exc.claims,
+                            residual=exc.residual, iterations=exc.iterations, draw=draw)
+
+
 def _mc_chunk(net, gbm, cfg, seed, start, count, want_greeks, weights):
     z = normal_variates(seed, count, gbm.n, start=start)
     a_T = sample_terminal(gbm, z)
     try:
         sol = solve_claims_batch(net, a_T, cfg)
     except ConvergenceError as exc:
-        raise ConvergenceError(
-            f"scenario solve failed at draw {start + (exc.draw or 0)}: {exc}",
-            claims=exc.claims, residual=exc.residual,
-            iterations=exc.iterations, draw=start + (exc.draw or 0),
-        ) from exc
-    boundary = int(_per_row(np.any, np.abs(sol.v - net.d) <= _BOUNDARY_REL * net.d).sum())
-    # draw-last from here on: (2n, B) claims, (n, B) per-firm statistics
-    x = np.hstack([sol.s, sol.r]).T.copy()
+        raise _at_draw(exc, start) from exc
+    d = net.d[:, None]
+    boundary = int(np.any(np.abs(sol.v.T - d) <= _BOUNDARY_REL * d, axis=0).sum())
+    x = np.vstack([sol.s.T, sol.r.T])
     if weights is not None:
         x = weights @ x
     disc = np.exp(-gbm.r * gbm.tau)
 
-    out = {"price": disc * x, "solvent": sol.xi.T.copy()}
+    out = {"price": disc * x, "solvent": sol.xi.T}
     if want_greeks:
         # (k, n, B), the C-contiguous array behind dxda_batch's (B, k, n) view
         dxda = dxda_batch(net, sol.xi, weights=weights).transpose(1, 2, 0)
@@ -220,17 +230,11 @@ def _run_chunks(net, gbm, draws, seed, cfg, want_greeks, threads, weights):
     if draws < 2:
         raise ValueError("need at least 2 draws for standard errors")
     size = _chunk_size(gbm.n)
-    tasks = [(start, min(size, draws - start)) for start in range(0, draws, size)]
 
-    def work(task):
-        start, count = task
-        return _mc_chunk(net, gbm, cfg, seed, start, count, want_greeks, weights)
+    def work(start):
+        return _mc_chunk(net, gbm, cfg, seed, start, min(size, draws - start), want_greeks, weights)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, tasks))
-    else:
-        results = [work(t) for t in tasks]
+    results = _ordered_map(work, range(0, draws, size), threads)
 
     names = results[0][0].keys()
     stats = {name: _tree_merge([res[0][name] for res in results]) for name in names}

@@ -34,7 +34,7 @@ solves once per distinct pattern of a batch and stacks the live blocks of
 equal size |J| into one LU.  The forward system A(xi) v = b, which
 finishes the valuation fixed point (``fixpoint``), comes from the same
 kernel: ``_forward_solve`` takes A(xi)^{-T} from one adjoint solve per
-distinct pattern with c = I and gathers v^T = b^T A(xi)^{-T} row by row.
+distinct pattern with c = I and gathers v^T = b^T A(xi)^{-T} draw by draw.
 Every solve with A(xi) in the package runs inside ``_adjoint_solve``.
 
 Writing A(xi) = I - B(xi), B(xi) = m_d + (m_s - m_d) diag(xi), gives
@@ -165,16 +165,22 @@ def _adjoint_solve(net: FirmNetwork, solvent: np.ndarray, c: np.ndarray) -> np.n
     return y
 
 
+def _draw_last(y: np.ndarray, inverse: np.ndarray) -> np.ndarray:
+    """Per-pattern (U, p, q) results gathered by (B,) draw -> pattern: C-contiguous (q, p, B)."""
+    return np.take(y.transpose(2, 1, 0), inverse, axis=2)
+
+
 def _forward_solve(net: FirmNetwork, solvent: np.ndarray, inverse: np.ndarray,
                    b: np.ndarray) -> np.ndarray:
-    """v = A(xi)^{-1} b row by row: (U, n) bool patterns, (B,) row -> pattern, (B, n) -> (B, n).
+    """v = A(xi)^{-1} b per draw: (U, n) bool patterns, (B,) draw -> pattern, (n, B) -> (n, B).
 
     v^T = b^T A(xi)^{-T}: one adjoint solve per distinct pattern with the
-    identity on the right gives A(xi)^{-T}, and each row gathers its
-    pattern's.
+    identity on the right gives A(xi)^{-T}, each draw gathers its pattern's
+    as an (n, n, B) slab, and the product sums along the leading axis.
     """
     eye = np.broadcast_to(np.eye(net.n), (len(solvent), net.n, net.n))
-    return np.einsum("bj,bji->bi", b, _adjoint_solve(net, solvent, eye)[inverse])
+    a_inv_t = _draw_last(_adjoint_solve(net, solvent, eye).transpose(0, 2, 1), inverse)
+    return (b[:, None, :] * a_inv_t).sum(axis=0)
 
 
 def _portfolio_weights(weights, n: int) -> np.ndarray:
@@ -223,8 +229,7 @@ def dxda_batch(net: FirmNetwork, xi_batch: np.ndarray, *, weights=None) -> np.nd
     weights = np.eye(2 * n) if weights is None else _portfolio_weights(weights, n)
     solvent, inverse = _distinct_patterns(np.asarray(xi_batch, dtype=float))
     c = np.where(solvent[:, :, None], weights[:, :n].T, weights[:, n:].T)
-    y = _adjoint_solve(net, solvent, c).transpose(2, 1, 0)
-    return np.take(y, inverse, axis=2).transpose(2, 0, 1)
+    return _draw_last(_adjoint_solve(net, solvent, c), inverse).transpose(2, 0, 1)
 
 
 def claims_sensitivity(net: FirmNetwork, xi) -> ClaimsJacobian:

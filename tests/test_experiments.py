@@ -26,6 +26,11 @@ from netgreeks.experiments import (
     write_csv,
 )
 
+import netgreeks.experiments as experiments
+from netgreeks import (ConvergenceError, GbmParams, normal_variates, sample_terminal,
+                       solve_claims_batch, symmetric_network)
+from netgreeks.mc import _chunk_size
+
 from helpers import member_aggregates_from_report
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -190,6 +195,42 @@ def test_two_firm_csv(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == ",".join(TWO_FIRM_HEADER)
     assert len(lines) == 51
+
+
+def test_two_firm_chunks_match_one_batch():
+    # draws in _chunk_size(2) chunks: the same draws and patterns, and values
+    # within 1e-12, as one batch of every draw.  The 3-draw tail is plain
+    # Picard, off the fixed point by up to tol / (1 - w_d) = 20 tol
+    draws = _chunk_size(2) + 3
+    cfg = _two_firm_cfg(draws=draws, tol=1e-14)
+    rows = np.array(run_two_firm(cfg))
+    net = symmetric_network(2, 0.0, 0.95, 11.3)
+    gbm = GbmParams(a_t=np.ones(2), sigma=np.ones(2), r=0.0, tau=1.0, corr=np.eye(2))
+    a_T = sample_terminal(gbm, normal_variates(cfg.seed, draws, 2))
+    sol = solve_claims_batch(net, a_T, cfg.fixed_point_config())
+    np.testing.assert_array_equal(rows[:, 0], np.arange(draws))
+    np.testing.assert_array_equal(rows[:, 1], cfg.seed)
+    np.testing.assert_array_equal(rows[:, 2:4], a_T)
+    np.testing.assert_array_equal(rows[:, 6:], sol.xi)
+    np.testing.assert_allclose(rows[:, 4:6], sol.v, rtol=0.0, atol=1e-12)
+
+
+def test_chunked_runner_failure_names_the_draw_of_the_run(monkeypatch):
+    # the second chunk fails at its draw 1, which is draw _chunk_size(2) + 1
+    real, calls = experiments.solve_claims_batch, []
+
+    def fail_second_chunk(net, a_T, cfg):
+        calls.append(len(a_T))
+        if len(calls) == 2:
+            raise ConvergenceError("no convergence", draw=1)
+        return real(net, a_T, cfg)
+
+    monkeypatch.setattr(experiments, "solve_claims_batch", fail_second_chunk)
+    draw = _chunk_size(2) + 1
+    with pytest.raises(ConvergenceError, match=f"failed at draw {draw}:") as err:
+        run_two_firm(_two_firm_cfg(draws=_chunk_size(2) + 3))
+    assert err.value.draw == draw
+    assert calls == [_chunk_size(2), 3]
 
 
 # --- er-sweep --------------------------------------------------------------------

@@ -229,7 +229,7 @@ def _perturb_forward_solve(monkeypatch, row, delta):
 
     def perturbed(*args):
         v = real(*args)
-        v[row] += delta
+        v[:, row] += delta
         return v
 
     monkeypatch.setattr(fixpoint, "_forward_solve", perturbed)
@@ -284,7 +284,7 @@ def test_row_failing_the_polish_check_falls_back_to_picard(monkeypatch):
         sol = ng.solve_claims_batch(net, a, TIGHT)
     oracle = picard_oracle(net, a, TIGHT)
     # loose Picard, the verifying sweep and the fallback of row 2 alone
-    assert [len(call.args[2]) for call in sweeps.call_args_list] == [6, 6, 1]
+    assert [call.args[2].shape[1] for call in sweeps.call_args_list] == [6, 6, 1]
     _assert_matches_oracle(sol, oracle, TIGHT.tol)
     # the fallback resumes the plain sequence, so the row is the oracle's
     for got, want in zip((sol.s, sol.r, sol.v, sol.residuals), (*oracle[:3], oracle[5])):
@@ -325,3 +325,26 @@ def test_batch_with_all_distinct_patterns_is_plain_picard():
             np.testing.assert_array_equal(got, want)
         assert sol.iterations == oracle[4]
         checked += 1
+
+
+def _assert_draw_last(sol, shape):
+    for field in (sol.s, sol.r, sol.v, sol.xi):
+        assert field.shape == shape
+        assert field.T.flags.c_contiguous
+
+
+def test_solution_fields_are_views_of_draw_last_arrays(monkeypatch):
+    rng = np.random.default_rng(4)
+    net = random_network(rng, 3)
+    polished = np.tile(rng.uniform(0.5, 2.0, size=3), (6, 1))
+    with _spy("_polish") as polish:
+        _assert_draw_last(ng.solve_claims_batch(net, polished, TIGHT), (6, 3))
+    assert polish.called
+    # one draw, so one pattern in fewer than n draws: plain Picard
+    with _spy("_polish") as polish:
+        _assert_draw_last(ng.solve_claims_batch(net, polished[:1], TIGHT), (1, 3))
+    assert not polish.called
+    _perturb_forward_solve(monkeypatch, 2, 1e-6)
+    with _spy("_sweeps") as sweeps:
+        _assert_draw_last(ng.solve_claims_batch(net, polished, TIGHT), (6, 3))
+    assert [call.args[2].shape[1] for call in sweeps.call_args_list] == [6, 6, 1]

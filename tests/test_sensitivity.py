@@ -435,7 +435,7 @@ def test_forward_solve_matches_dense_solve_once_per_pattern(monkeypatch):
         b = rng.uniform(-1.0, 3.0, size=xi_batch.shape)
         solvent, inverse = sens._distinct_patterns(xi_batch)
         factored.clear()
-        got = sens._forward_solve(net, solvent, inverse, b)
+        got = sens._forward_solve(net, solvent, inverse, b.T).T
         assert sum(factored) == sens._live(net, solvent).any(axis=1).sum()
         for row, xi in enumerate(xi_batch):
             a_xi = np.eye(net.n) - np.where(xi == 1.0, net.m_s, net.m_d)
