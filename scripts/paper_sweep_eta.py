@@ -7,18 +7,20 @@ paper's 1000 networks.  The slice CSV goes to a temporary file.  Prints the
 slice wall time and that time x 1000 as hours, the projected time of the
 whole sweep at one thread.
 
-    PYTHONPATH=src python3 scripts/paper_sweep_eta.py
+    python3 scripts/paper_sweep_eta.py
 """
 
 import json
+import sys
 import tempfile
 import time
 from pathlib import Path
 
-from netgreeks.experiments import ExperimentConfig, run_experiment
-
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG = ROOT / "configs" / "er_sweep_paper.json"
+sys.path.insert(0, str(ROOT / "src"))
+
+from netgreeks.experiments import ExperimentConfig, run_experiment  # noqa: E402
 
 
 def main() -> None:

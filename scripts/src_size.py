@@ -4,19 +4,21 @@
 The exported names are the public, non-module attributes of the imported
 package, the names ``from netgreeks import ...`` offers.
 
-    PYTHONPATH=src python3 scripts/src_size.py
+    python3 scripts/src_size.py
 """
 
 import inspect
+import sys
 from pathlib import Path
 
-import netgreeks
+SRC = Path(__file__).resolve().parent.parent / "src"
+sys.path.insert(0, str(SRC))
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "netgreeks"
+import netgreeks  # noqa: E402
 
 
 def main() -> None:
-    lines = sum(len(path.read_text().splitlines()) for path in SRC.glob("*.py"))
+    lines = sum(len(path.read_text().splitlines()) for path in (SRC / "netgreeks").glob("*.py"))
     names = [name for name, value in vars(netgreeks).items()
              if not name.startswith("_") and not inspect.ismodule(value)]
     print(f"src/netgreeks/*.py: {lines} lines")

@@ -7,11 +7,9 @@ from .local import (LocalValuationState, independent_default_delta,
                     local_delta, local_fixed_point, marginal_contagion)
 from .mc import GreekReport, PriceResult, mc_greeks, price_claims
 from .netgen import SinkhornError, er_network, sinkhorn_balance
-from .network import (ClaimVector, FirmNetwork, NetworkError, SolvencyVector,
-                      ValidationReport, firm_value, load_network, outside_value,
-                      symmetric_network, validate_network)
-from .sensitivity import (ClaimsJacobian, SensitivityError, aggregate_impact,
-                          claims_sensitivity, outside_sensitivity, threat_index)
+from .network import (ClaimVector, FirmNetwork, NetworkError, ValidationReport,
+                      load_network, symmetric_network, validate_network)
+from .sensitivity import SensitivityError
 from .symmetric import (SymmetricGreeks, SymmetricParams, symmetric_expost,
                         symmetric_greeks, symmetric_mc_inputs, symmetric_pi,
                         symmetric_price)

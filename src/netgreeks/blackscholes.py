@@ -1,4 +1,4 @@
-"""European Black-Scholes prices and deltas.
+"""European Black-Scholes prices and the put delta.
 
 Thin vectorized formulas shared by the closed-form symmetric solution and
 the single-firm local approximation.  The normal CDF uses the erf-based
@@ -16,7 +16,6 @@ __all__ = [
     "d_pair",
     "call_price",
     "put_price",
-    "call_delta",
     "put_delta",
 ]
 
@@ -46,11 +45,6 @@ def call_price(spot, strike, r, tau, sigma):
 def put_price(spot, strike, r, tau, sigma):
     d_plus, d_minus = d_pair(spot, strike, r, tau, sigma)
     return strike * np.exp(-r * tau) * ndtr(-d_minus) - spot * ndtr(-d_plus)
-
-
-def call_delta(spot, strike, r, tau, sigma):
-    d_plus, _ = d_pair(spot, strike, r, tau, sigma)
-    return ndtr(d_plus)
 
 
 def put_delta(spot, strike, r, tau, sigma):

@@ -19,10 +19,8 @@ so results are bit-identical for any thread count.
 
 from __future__ import annotations
 
-import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -178,9 +176,6 @@ class GreekReport(_ArrayEq):
             out[name] = getattr(self, name).tolist()
             out[name + "_se"] = getattr(self, name + "_se").tolist()
         return out
-
-    def to_json(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n")
 
 
 def _at_draw(exc: ConvergenceError, start: int) -> ConvergenceError:

@@ -1,4 +1,4 @@
-"""Cross-holding network types, validation and accounting identities.
+"""Cross-holding network types and validation.
 
 A network of n firms is described by two n x n holding matrices and a debt
 vector.  Entry (i, j) of m_s is the fraction of firm j's equity held by firm
@@ -19,10 +19,7 @@ __all__ = [
     "ValidationReport",
     "FirmNetwork",
     "ClaimVector",
-    "SolvencyVector",
     "validate_network",
-    "firm_value",
-    "outside_value",
     "symmetric_network",
     "load_network",
 ]
@@ -206,14 +203,6 @@ class FirmNetwork(_ArrayEq):
     def n(self) -> int:
         return self.d.shape[0]
 
-    def outside_fraction_s(self) -> np.ndarray:
-        """Fraction of each firm's equity held outside the network."""
-        return 1.0 - self.m_s.sum(axis=0)
-
-    def outside_fraction_d(self) -> np.ndarray:
-        """Fraction of each firm's debt held outside the network."""
-        return 1.0 - self.m_d.sum(axis=0)
-
     def to_dict(self) -> dict:
         return {
             "n": self.n,
@@ -225,7 +214,7 @@ class FirmNetwork(_ArrayEq):
 
 @dataclass(frozen=True, eq=False)
 class ClaimVector(_ArrayEq):
-    """Equity values s and recovery debt values r, stacked as x = (s; r)."""
+    """Equity values s and recovery debt values r of one scenario."""
 
     s: np.ndarray
     r: np.ndarray
@@ -239,58 +228,6 @@ class ClaimVector(_ArrayEq):
             raise ValueError("claim values must be non-negative")
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "r", r)
-
-    @property
-    def n(self) -> int:
-        return self.s.shape[0]
-
-    @property
-    def x(self) -> np.ndarray:
-        """Stacked 2n-vector (s; r)."""
-        return np.concatenate([self.s, self.r])
-
-
-@dataclass(frozen=True, eq=False)
-class SolvencyVector(_ArrayEq):
-    """Indicator per firm: 1 where firm value strictly exceeds debt, else 0."""
-
-    xi: np.ndarray
-
-    def __post_init__(self):
-        xi = _frozen_array(np.atleast_1d(self.xi))
-        if xi.ndim != 1 or not np.all((xi == 0.0) | (xi == 1.0)):
-            raise ValueError("solvency entries must be 0 or 1")
-        object.__setattr__(self, "xi", xi)
-
-    @property
-    def n(self) -> int:
-        return self.xi.shape[0]
-
-    def all_solvent(self) -> bool:
-        return bool(np.all(self.xi == 1.0))
-
-    def all_insolvent(self) -> bool:
-        return bool(np.all(self.xi == 0.0))
-
-
-def firm_value(net: FirmNetwork, claims: ClaimVector, a) -> np.ndarray:
-    """Total firm value v = a + m_s s + m_d r."""
-    a = np.asarray(a, dtype=float)
-    if a.shape != (net.n,) or claims.n != net.n:
-        raise ValueError(f"dimension mismatch: network n={net.n}, a {a.shape}, claims n={claims.n}")
-    return a + net.m_s @ claims.s + net.m_d @ claims.r
-
-
-def outside_value(net: FirmNetwork, claims: ClaimVector) -> np.ndarray:
-    """Value accruing to outside investors per firm.
-
-    Summed over firms this equals the total external assets whenever the
-    claims are a self-consistent valuation (no value is created or lost by
-    cross-holdings).
-    """
-    if claims.n != net.n:
-        raise ValueError(f"dimension mismatch: network n={net.n}, claims n={claims.n}")
-    return net.outside_fraction_s() * claims.s + net.outside_fraction_d() * claims.r
 
 
 def symmetric_network(n: int, w_s: float, w_d: float, d: float = 1.0) -> FirmNetwork:

@@ -61,33 +61,15 @@ insolvent and with 0 once it is solvent (pinned in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .network import FirmNetwork, SolvencyVector, _ArrayEq
+from .network import FirmNetwork
 
-__all__ = [
-    "SensitivityError",
-    "ClaimsJacobian",
-    "claims_sensitivity",
-    "dxda_batch",
-    "threat_index",
-    "aggregate_impact",
-    "outside_sensitivity",
-]
+__all__ = ["SensitivityError", "dxda_batch"]
 
 
 class SensitivityError(RuntimeError):
     """Singular sensitivity system; admissibility was violated upstream."""
-
-
-def _xi_array(xi, n: int) -> np.ndarray:
-    if not isinstance(xi, SolvencyVector):
-        xi = SolvencyVector(xi)
-    if xi.n != n:
-        raise ValueError(f"solvency vector has {xi.n} entries, expected {n}")
-    return xi.xi
 
 
 def _require_debt_only(net: FirmNetwork, what: str) -> None:
@@ -95,15 +77,14 @@ def _require_debt_only(net: FirmNetwork, what: str) -> None:
         raise ValueError(f"{what} is defined for pure debt cross-holdings (m_s = 0)")
 
 
-def _distinct_patterns(xi_batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct rows of a (B, n) 0/1 batch -> (solvent (U, n) bool, row -> pattern (B,)).
+def _distinct_patterns(solvent: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of a (B, n) bool batch -> (solvent (U, n) bool, row -> pattern (B,)).
 
     Rows are keyed by their bits, zero-padded to whole 64-bit words and read
     as big-endian uint64 so that word order is bit order, and the keys sorted
     lexicographically: the distinct patterns and their order depend only on
     the set of rows, not on the order of the batch.
     """
-    solvent = xi_batch == 1.0
     b, n = solvent.shape
     width = -(-n // 64)
     bits = np.zeros((b, 64 * width), dtype=bool)
@@ -191,28 +172,6 @@ def _portfolio_weights(weights, n: int) -> np.ndarray:
     return weights
 
 
-@dataclass(frozen=True, eq=False)
-class ClaimsJacobian(_ArrayEq):
-    """Sensitivities dx*/da (2n x n) at a fixed solvency pattern."""
-
-    dxda: np.ndarray
-    xi: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.dxda.shape[1]
-
-    @property
-    def u_s(self) -> np.ndarray:
-        """Equity block ds*/da."""
-        return self.dxda[: self.n]
-
-    @property
-    def u_d(self) -> np.ndarray:
-        """Debt block dr*/da."""
-        return self.dxda[self.n:]
-
-
 def dxda_batch(net: FirmNetwork, xi_batch: np.ndarray, *, weights=None) -> np.ndarray:
     """Stacked dx*/da = (u_s; u_d) for a (B, n) batch of solvency patterns -> (B, 2n, n).
 
@@ -223,54 +182,18 @@ def dxda_batch(net: FirmNetwork, xi_batch: np.ndarray, *, weights=None) -> np.nd
     on its live firms J (see the module docstring), and the rows of the
     batch gather their pattern's result.  The (B, k, n) result is a view of
     a C-contiguous draw-last (k, n, B) array, the layout the Monte Carlo
-    chunk reduces in (``mc``).
+    chunk reduces in (``mc``).  A batch that is not (B, n) or has an entry
+    other than 0 or 1 raises ValueError.
     """
     n = net.n
     weights = np.eye(2 * n) if weights is None else _portfolio_weights(weights, n)
-    solvent, inverse = _distinct_patterns(np.asarray(xi_batch, dtype=float))
+    xi_batch = np.asarray(xi_batch, dtype=float)
+    if xi_batch.ndim != 2 or xi_batch.shape[1] != n:
+        raise ValueError(f"solvency batch must be a (B, {n}) array, got shape {xi_batch.shape}")
+    solvent = xi_batch == 1.0
+    other = ~(solvent | (xi_batch == 0.0))
+    if other.any():
+        raise ValueError(f"solvency batch entries must be 0 or 1, got {xi_batch[other][0]}")
+    solvent, inverse = _distinct_patterns(solvent)
     c = np.where(solvent[:, :, None], weights[:, :n].T, weights[:, n:].T)
     return _draw_last(_adjoint_solve(net, solvent, c), inverse).transpose(2, 0, 1)
-
-
-def claims_sensitivity(net: FirmNetwork, xi) -> ClaimsJacobian:
-    """dx*/da away from the default boundary, by one linear solve."""
-    xi_arr = _xi_array(xi, net.n)
-    return ClaimsJacobian(dxda=dxda_batch(net, xi_arr[None])[0], xi=xi_arr)
-
-
-def _portfolio(net: FirmNetwork, xi, weights: np.ndarray) -> np.ndarray:
-    """weights^T dx*/da for one claim portfolio at one pattern -> (n,)."""
-    return dxda_batch(net, _xi_array(xi, net.n)[None], weights=weights[None])[0, 0]
-
-
-def threat_index(net: FirmNetwork, xi) -> np.ndarray:
-    """Marginal impact of firm-level asset injections on total debt recovery.
-
-    Defined for pure debt networks (m_s = 0):
-
-        mu^T = 1^T u_d = (1 - xi)^T A(xi)^{-1},
-
-    i.e. the gradient of sum_i r*_i with respect to a.  Solvent firms score
-    zero; an isolated insolvent firm scores one; holdings of distressed
-    debt amplify the score along chains of distress.
-    """
-    _require_debt_only(net, "threat index")
-    return _portfolio(net, xi, np.concatenate([np.zeros(net.n), np.ones(net.n)]))
-
-
-def aggregate_impact(net: FirmNetwork, xi) -> np.ndarray:
-    """Column sums 1^T dx*/da = 1^T A(xi)^{-1}: total claim-value response per asset shock."""
-    return _portfolio(net, xi, np.ones(2 * net.n))
-
-
-def outside_sensitivity(net: FirmNetwork, xi) -> np.ndarray:
-    """Jacobian of outside-investor value in a; columns sum to one.
-
-    Differentiating the conservation identity sum_i v_out_i = sum_i a_i
-    forces each column sum to equal one exactly: a marginal unit of outside
-    assets is redistributed, never created or destroyed.
-    """
-    jac = claims_sensitivity(net, xi)
-    out_s = net.outside_fraction_s()
-    out_d = net.outside_fraction_d()
-    return out_s[:, None] * jac.u_s + out_d[:, None] * jac.u_d

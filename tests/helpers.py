@@ -1,6 +1,6 @@
 """Shared test utilities: random admissible networks, finite differences, the
-single-scenario solver API, and the plain Picard, pattern-keying and 2n x 2n
-sensitivity oracles."""
+single-scenario solver and sensitivity calls, and the plain Picard,
+pattern-keying and 2n x 2n sensitivity oracles."""
 
 from __future__ import annotations
 
@@ -11,8 +11,9 @@ from pathlib import Path
 import numpy as np
 
 from netgreeks import (ClaimVector, ConvergenceError, FirmNetwork, FixedPointConfig,
-                       SolvencyVector, firm_value, solve_claims_batch)
+                       solve_claims_batch)
 from netgreeks.fixpoint import DEFAULT_CONFIG
+from netgreeks.sensitivity import dxda_batch
 
 TIGHT = FixedPointConfig(tol=1e-14, max_iter=50_000)
 
@@ -20,7 +21,7 @@ TIGHT = FixedPointConfig(tol=1e-14, max_iter=50_000)
 @dataclass(frozen=True)
 class FixedPointSolution:
     claims: ClaimVector
-    xi: SolvencyVector
+    xi: np.ndarray
     iterations: int
     residual: float
 
@@ -33,7 +34,7 @@ def solve_claims(net: FirmNetwork, a, cfg: FixedPointConfig = DEFAULT_CONFIG) ->
     sol = solve_claims_batch(net, a, cfg)
     return FixedPointSolution(
         claims=ClaimVector(s=sol.s[0], r=sol.r[0]),
-        xi=SolvencyVector(sol.xi[0]),
+        xi=sol.xi[0],
         iterations=sol.iterations,
         residual=float(sol.residuals[0]),
     )
@@ -41,13 +42,18 @@ def solve_claims(net: FirmNetwork, a, cfg: FixedPointConfig = DEFAULT_CONFIG) ->
 
 def eval_g(net: FirmNetwork, a, claims: ClaimVector) -> ClaimVector:
     """One application of the valuation map at claims x."""
-    v = firm_value(net, claims, a)
+    v = a + net.m_s @ claims.s + net.m_d @ claims.r
     return ClaimVector(s=np.maximum(0.0, v - net.d), r=np.minimum(net.d, v))
 
 
-def solvency(net: FirmNetwork, a, claims: ClaimVector) -> SolvencyVector:
+def solvency(net: FirmNetwork, a, claims: ClaimVector) -> np.ndarray:
     """Solvency indicators at given claims: 1 iff v_i > d_i (ties insolvent)."""
-    return SolvencyVector((firm_value(net, claims, a) > net.d).astype(float))
+    return (a + net.m_s @ claims.s + net.m_d @ claims.r > net.d).astype(float)
+
+
+def dxda_at(net: FirmNetwork, xi, weights=None) -> np.ndarray:
+    """dx*/da at one solvency pattern, (2n, n), or weights @ dx*/da, (k, n)."""
+    return dxda_batch(net, np.asarray(xi, dtype=float)[None], weights=weights)[0]
 
 
 def save_network(net: FirmNetwork, path) -> None:
@@ -141,9 +147,9 @@ def fd_claims_jacobian(net, a, h=1e-6):
         up[j] += step
         dn = a.copy()
         dn[j] -= step
-        x_up = solve_claims(net, up, TIGHT).claims.x
-        x_dn = solve_claims(net, dn, TIGHT).claims.x
-        jac[:, j] = (x_up - x_dn) / (2.0 * step)
+        hi, lo = solve_claims(net, up, TIGHT).claims, solve_claims(net, dn, TIGHT).claims
+        jac[:n, j] = (hi.s - lo.s) / (2.0 * step)
+        jac[n:, j] = (hi.r - lo.r) / (2.0 * step)
     return jac
 
 

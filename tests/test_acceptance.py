@@ -27,14 +27,11 @@ from netgreeks.gbm import GbmParams
 from netgreeks.local import independent_default_delta, marginal_contagion
 from netgreeks.mc import mc_greeks, price_claims
 from netgreeks.network import FirmNetwork
-from netgreeks.sensitivity import (claims_sensitivity, outside_sensitivity,
-                                   threat_index)
 from netgreeks.symmetric import (SymmetricParams, symmetric_greeks,
                                  symmetric_mc_inputs, symmetric_price)
 
-from helpers import (TIGHT, fd_claims_jacobian, ordered_holdings,
+from helpers import (TIGHT, dxda_at, fd_claims_jacobian, ordered_holdings,
                      random_interior_scenario, random_network, random_holdings, solve_claims)
-from netgreeks.network import outside_value
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -124,7 +121,7 @@ def test_criterion_03_sensitivity_vs_finite_differences():
     worst = 0.0
     for _ in range(100):
         net, a, sol = random_interior_scenario(rng, n=10)
-        ift = claims_sensitivity(net, sol.xi).dxda
+        ift = dxda_at(net, sol.xi)
         fd = fd_claims_jacobian(net, a)
         scale = max(1.0, np.abs(fd).max())
         worst = max(worst, np.abs(ift - fd).max() / scale)
@@ -145,7 +142,9 @@ def test_criterion_04_outside_value_conservation():
         net = random_network(rng, n=rng.integers(2, 9))
         a = rng.uniform(0.05, 3.0, size=net.n)
         sol = solve_claims(net, a, TIGHT)
-        out = outside_value(net, sol.claims).sum()
+        # outside investors hold 1 - 1^T m_s of each equity and 1 - 1^T m_d of each debt
+        out = ((1.0 - net.m_s.sum(axis=0)) @ sol.claims.s
+               + (1.0 - net.m_d.sum(axis=0)) @ sol.claims.r)
         worst = max(worst, abs(out - a.sum()))
     ok = worst <= 1e-9
     _report("04 conservation", ok,
@@ -161,7 +160,8 @@ def test_criterion_05_outside_sensitivity_columns():
     for _ in range(300):
         net = random_network(rng, n=rng.integers(2, 9))
         xi = (rng.random(net.n) < rng.random()).astype(float)
-        cols = outside_sensitivity(net, xi).sum(axis=0)
+        W = np.hstack([np.diag(1.0 - net.m_s.sum(axis=0)), np.diag(1.0 - net.m_d.sum(axis=0))])
+        cols = dxda_at(net, xi, W).sum(axis=0)
         worst = max(worst, np.abs(cols - 1.0).max())
     ok = worst <= 1e-9
     _report("05 outside-sensitivity-columns", ok,
@@ -208,13 +208,14 @@ def test_criterion_06_sensitivity_monotone_in_solvency():
         hi = np.maximum(lo, (rng.random(net.n) < 0.5).astype(float))
         m, m_u = ordered_holdings(rng, net.n, cap=0.9)
 
-        jac_lo = claims_sensitivity(net, lo)
-        jac_hi = claims_sensitivity(net, hi)
+        # u_s and u_d are the rows [:n] and [n:] of dx*/da
+        n = net.n
+        jac_lo, jac_hi = dxda_at(net, lo), dxda_at(net, hi)
         flip = hi > lo
-        if not (_is_zero(jac_lo.u_s[flip]) and _rises(jac_hi.u_s[flip], jac_lo.u_s[flip])
-                and _is_zero(jac_hi.u_d[flip]) and _falls(jac_hi.u_d[flip], jac_lo.u_d[flip])):
+        if not (_is_zero(jac_lo[:n][flip]) and _rises(jac_hi[:n][flip], jac_lo[:n][flip])
+                and _is_zero(jac_hi[n:][flip]) and _falls(jac_hi[n:][flip], jac_lo[n:][flip])):
             flip_broken.append(draw)
-        if not (_rises(jac_hi.u_s, jac_lo.u_s) and _falls(jac_hi.u_d, jac_lo.u_d)):
+        if not (_rises(jac_hi[:n], jac_lo[:n]) and _falls(jac_hi[n:], jac_lo[n:])):
             joint_violations += 1
 
         # (class, m_s, m_d, u_s guaranteed, u_d guaranteed)
@@ -222,10 +223,9 @@ def test_criterion_06_sensitivity_monotone_in_solvency():
                                                   ("md>=ms", m_u, m, False, True),
                                                   ("ms=md", m, m, True, True)):
             ordered = FirmNetwork(m_s=m_s, m_d=m_d, d=net.d)
-            o_lo = claims_sensitivity(ordered, lo)
-            o_hi = claims_sensitivity(ordered, hi)
-            ok = ((not check_s or _rises(o_hi.u_s, o_lo.u_s))
-                  and (not check_d or _falls(o_hi.u_d, o_lo.u_d)))
+            o_lo, o_hi = dxda_at(ordered, lo), dxda_at(ordered, hi)
+            ok = ((not check_s or _rises(o_hi[:n], o_lo[:n]))
+                  and (not check_d or _falls(o_hi[n:], o_lo[n:])))
             if not ok:
                 ordered_broken.append((draw, label))
     ok = not ordered_broken and not flip_broken
@@ -245,7 +245,7 @@ def test_criterion_07_threat_index_vs_finite_differences():
     worst = 0.0
     for _ in range(50):
         net, a, sol = random_interior_scenario(rng, n=8, debt_only=True)
-        mu = threat_index(net, sol.xi)
+        mu = dxda_at(net, sol.xi, [np.r_[np.zeros(net.n), np.ones(net.n)]])[0]
         fd = np.zeros(net.n)
         h = 1e-6
         for j in range(net.n):
@@ -319,7 +319,7 @@ def test_criterion_10_local_approximation_limits():
         net = FirmNetwork(m_s=np.zeros((n, n)), m_d=m_d,
                           d=rng.uniform(0.5, 2.0, size=n))
         pd = (rng.random(n) < 0.5).astype(float)
-        exact = claims_sensitivity(net, 1.0 - pd).u_d
+        exact = dxda_at(net, 1.0 - pd)[n:]
         approx = independent_default_delta(net, pd)
         worst = max(worst, np.abs(exact - approx).max())
     deterministic_ok = worst <= 1e-12

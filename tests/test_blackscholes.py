@@ -4,7 +4,6 @@ import numpy as np
 from hypothesis import given, strategies as st
 
 from netgreeks.blackscholes import (
-    call_delta,
     call_price,
     d_pair,
     norm_cdf,
@@ -47,7 +46,6 @@ def test_put_call_parity(spot, strike, r, tau, sigma):
 
 @given(st_spot, st_spot, st_rate, st_tau, st_vol)
 def test_deltas_bracket_prices(spot, strike, r, tau, sigma):
-    assert 0.0 <= call_delta(spot, strike, r, tau, sigma) <= 1.0
     assert -1.0 <= put_delta(spot, strike, r, tau, sigma) <= 0.0
     assert call_price(spot, strike, r, tau, sigma) >= max(
         spot - strike * np.exp(-r * tau), 0.0) - 1e-12
@@ -56,9 +54,6 @@ def test_deltas_bracket_prices(spot, strike, r, tau, sigma):
 def test_delta_is_price_slope():
     h = 1e-6
     for spot in (0.6, 1.0, 1.7):
-        fd = (call_price(spot + h, 1.0, 0.02, 1.0, 0.4)
-              - call_price(spot - h, 1.0, 0.02, 1.0, 0.4)) / (2 * h)
-        assert abs(fd - call_delta(spot, 1.0, 0.02, 1.0, 0.4)) < 1e-8
         fd = (put_price(spot + h, 1.0, 0.02, 1.0, 0.4)
               - put_price(spot - h, 1.0, 0.02, 1.0, 0.4)) / (2 * h)
         assert abs(fd - put_delta(spot, 1.0, 0.02, 1.0, 0.4)) < 1e-8

@@ -1,17 +1,24 @@
 """Static checks: no module of the package imports a name it never uses,
-and no private module-level name is left without a reference.
+no private module-level name is left without a reference, and no exported
+name is called only by the tests.
 
 Stands in for a linter's unused-import and dead-code rules with the
 standard library alone.  An import counts as used when the module body
 refers to it or lists it in ``__all__``; everything ``__init__`` imports is
 a re-export.  A private name (``_name``) counts as used when some module of
-the package reads it; the tests do not count.
+the package reads it; the tests do not count.  An exported name counts as
+called when a package module other than ``__init__`` reads it, or a
+benchmark or script module imports or reads it.
 """
 
 import ast
+import inspect
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "netgreeks"
+import netgreeks
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "netgreeks"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -48,15 +55,33 @@ def dead_private_names(sources: dict[str, str]) -> list[str]:
                 continue
             defined.extend((module, name, node.lineno) for name in names
                            if name.startswith("_") and not name.startswith("__"))
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
-            elif isinstance(node, ast.ImportFrom):
-                read.update(alias.name for alias in node.names)
+        read |= _read_names(tree, imports=True)
     return [f"{module}:{name} (line {line})" for module, name, line in defined
             if name not in read]
+
+
+def _read_names(tree: ast.AST, imports: bool) -> set[str]:
+    """Names a module reads (Name loads, attributes), and with imports the names it imports."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif imports and isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
+def exports_without_callers(exports, package: dict[str, str], outside: dict[str, str]) -> list[str]:
+    """Exported names that no package module but __init__ reads and no outside module uses."""
+    read = set()
+    for module, source in package.items():
+        if module != "__init__.py":
+            read |= _read_names(ast.parse(source), imports=False)
+    for source in outside.values():
+        read |= _read_names(ast.parse(source), imports=True)
+    return sorted(name for name in exports if name not in read)
 
 
 def test_checker_flags_unused_and_keeps_used_names():
@@ -91,3 +116,32 @@ def test_no_dead_private_names_in_package():
     sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     dead = dead_private_names(sources)
     assert not dead, f"private names nothing in the package reads: {dead}"
+
+
+def test_export_checker_flags_names_only_tests_read():
+    package = {
+        "__init__.py": ("from .a import called, by_attribute, scripted, by_script_attribute, "
+                        "only_imported, only_reexported\nx = only_reexported\n"),
+        "a.py": ("def called():\n    pass\ndef by_attribute():\n    pass\n"
+                 "def only_imported():\n    pass\nclass only_reexported:\n    pass\n"
+                 "y = called()\n"),
+        "b.py": "from . import a\nfrom .a import only_imported\nz = a.by_attribute\n",
+    }
+    outside = {"run.py": "from netgreeks.a import scripted\nimport netgreeks\n"
+                         "netgreeks.by_script_attribute()\n"}
+    exports = ["called", "by_attribute", "scripted", "by_script_attribute",
+               "only_imported", "only_reexported"]
+    assert exports_without_callers(exports, package, outside) == [
+        "only_imported", "only_reexported"]
+
+
+def test_every_export_has_a_caller_outside_tests():
+    # the names scripts/src_size.py counts: public, non-module attributes
+    exports = [name for name, value in vars(netgreeks).items()
+               if not name.startswith("_") and not inspect.ismodule(value)]
+    package = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    outside = {str(path): path.read_text() for folder in ("perfbench", "scripts")
+               for path in sorted((ROOT / folder).glob("*.py"))}
+    assert len(exports) >= 30 and len(outside) >= 5
+    unused = exports_without_callers(exports, package, outside)
+    assert not unused, f"exported names only the tests call: {unused}"

@@ -151,38 +151,40 @@ def test_firm_network_is_immutable():
 def test_firm_value_without_holdings_is_assets():
     n = 3
     net = ng.FirmNetwork(m_s=np.zeros((n, n)), m_d=np.zeros((n, n)), d=np.ones(n))
-    claims = ng.ClaimVector(s=np.ones(n), r=np.ones(n))
-    a = np.array([1.0, 2.0, 3.0])
-    assert np.array_equal(ng.firm_value(net, claims, a), a)
+    a = np.array([[1.0, 2.0, 3.0]])
+    assert np.array_equal(ng.solve_claims_batch(net, a).v, a)
 
 
 def test_firm_value_symmetric_debt_example():
-    # three firms, w_d = 0.4 spread evenly: v_i = a_i + 0.2 * (r_j + r_k)
+    # three firms, w_d = 0.4 spread evenly: v_i = a_i + 0.2 * (r_j + r_k),
+    # and with a = 1 every firm is solvent, r = d = 1
     net = ng.symmetric_network(3, 0.0, 0.4)
-    claims = ng.ClaimVector(s=np.zeros(3), r=np.ones(3))
-    v = ng.firm_value(net, claims, np.ones(3))
-    np.testing.assert_allclose(v, 1.4, rtol=0, atol=1e-15)
+    sol = ng.solve_claims_batch(net, np.ones((1, 3)))
+    np.testing.assert_allclose(sol.r, 1.0, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(sol.v, 1.4, rtol=0, atol=1e-15)
 
 
 def test_firm_value_dimension_mismatch():
+    # firm values need one external asset value per firm
     net = ng.symmetric_network(3, 0.0, 0.4)
-    claims = ng.ClaimVector(s=np.zeros(2), r=np.zeros(2))
-    with pytest.raises(ValueError):
-        ng.firm_value(net, claims, np.ones(3))
+    with pytest.raises(ValueError, match="2 columns, network has 3 firms"):
+        ng.solve_claims_batch(net, np.ones((1, 2)))
 
 
 def test_outside_value_without_holdings():
+    # outside investors hold every claim: s + r = a
     n = 2
     net = ng.FirmNetwork(m_s=np.zeros((n, n)), m_d=np.zeros((n, n)), d=np.ones(n))
-    claims = ng.ClaimVector(s=np.array([1.0, 0.5]), r=np.array([0.25, 1.0]))
-    np.testing.assert_allclose(ng.outside_value(net, claims), claims.s + claims.r)
+    a = np.array([1.5, 0.25])
+    sol = solve_claims(net, a)
+    np.testing.assert_allclose(sol.claims.s + sol.claims.r, a, rtol=0, atol=1e-15)
 
 
 def test_outside_value_conserves_assets_at_fixed_point():
     net = ng.symmetric_network(2, 0.0, 0.4)
     a = np.full(2, 0.5)
     sol = solve_claims(net, a)
-    v_out = ng.outside_value(net, sol.claims)
+    v_out = (1.0 - net.m_s.sum(axis=0)) * sol.claims.s + (1.0 - net.m_d.sum(axis=0)) * sol.claims.r
     # all value flows outside: 0.6 * r with r = 0.5 / 0.6
     np.testing.assert_allclose(v_out, 0.5, atol=1e-12)
 
@@ -193,13 +195,9 @@ def test_conservation_random_fixed_points():
         n = int(rng.integers(2, 8))
         net = random_network(rng, n)
         a = rng.uniform(0.1, 3.0, size=n)
-        sol = solve_claims(net, a)
-        assert abs(ng.outside_value(net, sol.claims).sum() - a.sum()) < 1e-9
-
-
-def test_claim_vector_stacks_equity_then_debt():
-    c = ng.ClaimVector(s=np.array([1.0, 2.0]), r=np.array([3.0, 4.0]))
-    np.testing.assert_array_equal(c.x, [1.0, 2.0, 3.0, 4.0])
+        c = solve_claims(net, a).claims
+        v_out = (1.0 - net.m_s.sum(axis=0)) * c.s + (1.0 - net.m_d.sum(axis=0)) * c.r
+        assert abs(v_out.sum() - a.sum()) < 1e-9
 
 
 def test_claim_vector_rejects_negative_and_mismatched():
@@ -207,11 +205,6 @@ def test_claim_vector_rejects_negative_and_mismatched():
         ng.ClaimVector(s=np.array([-0.1]), r=np.array([0.0]))
     with pytest.raises(ValueError):
         ng.ClaimVector(s=np.zeros(2), r=np.zeros(3))
-
-
-def test_solvency_vector_rejects_non_binary():
-    with pytest.raises(ValueError):
-        ng.SolvencyVector(np.array([0.0, 0.5]))
 
 
 def test_symmetric_network_structure():
@@ -254,8 +247,6 @@ def test_array_dataclasses_compare_without_raising():
         (gbm(0.3), gbm(0.3), gbm(0.5)),
         (ng.ClaimVector(s=[1.0, 0.0], r=[1.0, 0.5]), ng.ClaimVector(s=[1.0, 0.0], r=[1.0, 0.5]),
          ng.ClaimVector(s=[1.0, 0.0], r=[1.0, 0.4])),
-        (ng.SolvencyVector([1.0, 0.0]), ng.SolvencyVector([1.0, 0.0]),
-         ng.SolvencyVector([1.0, 1.0])),
     ]
     for a, same, other in pairs:
         assert a == same and not (a != same)
@@ -274,10 +265,8 @@ def _array_dataclasses(rng, n):
         (random_network(rng, n), ("d",)),
         (GbmParams(a_t=x[0], sigma=x[1], r=0.01, tau=1.0, corr=np.eye(n)), ("a_t", "sigma", "r", "tau")),
         (ng.ClaimVector(s=x[0], r=x[1]), ("s", "r")),
-        (ng.SolvencyVector((x[2] > 1.0).astype(float)), ("xi",)),
         (ng.BatchSolution(s=x[:2], r=x[1:3], v=x[2:], xi=(x[:2] > 1.0).astype(float),
                           iterations=7, residuals=x[3, :2]), ("s", "r", "v", "residuals")),
-        (ng.ClaimsJacobian(dxda=rng.random((2 * n, n)), xi=np.ones(n)), ("dxda",)),
     ]
 
 
@@ -292,6 +281,6 @@ def test_array_dataclass_equality_is_entrywise(seed, n, data):
     value = np.array(getattr(obj, name), dtype=float)
     flat = value.reshape(-1)
     i = data.draw(st.integers(0, flat.size - 1))
-    flat[i] = 1.0 - flat[i] if name == "xi" else flat[i] * 1.5
+    flat[i] *= 1.5
     changed = replace(obj, **{name: value if value.ndim else float(value)})
     assert changed != obj and not (changed == obj)

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 import netgreeks as ng
 from netgreeks.sensitivity import _distinct_patterns, dxda_batch
-from helpers import (TIGHT, distinct_patterns_oracle, fd_claims_jacobian, jacobian_g,
-                     random_interior_scenario, random_network, solve_claims,
+from helpers import (TIGHT, distinct_patterns_oracle, dxda_at, fd_claims_jacobian,
+                     jacobian_g, random_interior_scenario, random_network, solve_claims,
                      weighting_matrix)
 
 
@@ -57,17 +57,17 @@ def test_all_solvent_sensitivity_ignores_debt_holdings():
     # cross-holdings shape the response: dx/da = ((I - m_s)^{-1}; 0)
     rng = np.random.default_rng(12)
     net = random_network(rng, 5)
-    jac = ng.claims_sensitivity(net, np.ones(5))
-    np.testing.assert_allclose(jac.u_s, np.linalg.inv(np.eye(5) - net.m_s), atol=1e-12)
-    np.testing.assert_allclose(jac.u_d, 0.0, atol=1e-15)
+    jac = dxda_at(net, np.ones(5))
+    np.testing.assert_allclose(jac[:5], np.linalg.inv(np.eye(5) - net.m_s), atol=1e-12)
+    np.testing.assert_allclose(jac[5:], 0.0, atol=1e-15)
 
 
 def test_all_insolvent_sensitivity_ignores_equity_holdings():
     rng = np.random.default_rng(13)
     net = random_network(rng, 5)
-    jac = ng.claims_sensitivity(net, np.zeros(5))
-    np.testing.assert_allclose(jac.u_d, np.linalg.inv(np.eye(5) - net.m_d), atol=1e-12)
-    np.testing.assert_allclose(jac.u_s, 0.0, atol=1e-15)
+    jac = dxda_at(net, np.zeros(5))
+    np.testing.assert_allclose(jac[5:], np.linalg.inv(np.eye(5) - net.m_d), atol=1e-12)
+    np.testing.assert_allclose(jac[:5], 0.0, atol=1e-15)
 
 
 def test_sensitivity_matches_weighting_matrix():
@@ -80,9 +80,9 @@ def test_sensitivity_matches_weighting_matrix():
         net = random_network(rng, 4)
         W = weighting_matrix(net, xi)
         rhs = np.vstack([np.diag(xi), np.diag(1.0 - xi)])
-        jac = ng.claims_sensitivity(net, xi)
-        np.testing.assert_allclose(jac.dxda, W @ rhs, atol=1e-12)
-        assert np.all(jac.dxda >= -1e-12)
+        jac = dxda_at(net, xi)
+        np.testing.assert_allclose(jac, W @ rhs, atol=1e-12)
+        assert np.all(jac >= -1e-12)
 
 
 def test_sensitivity_matches_finite_differences():
@@ -90,7 +90,7 @@ def test_sensitivity_matches_finite_differences():
     for _ in range(25):
         n = int(rng.integers(2, 8))
         net, a, sol = random_interior_scenario(rng, n)
-        exact = ng.claims_sensitivity(net, sol.xi).dxda
+        exact = dxda_at(net, sol.xi)
         fd = fd_claims_jacobian(net, a)
         scale = max(1.0, np.abs(exact).max())
         assert np.abs(exact - fd).max() / scale < 1e-6
@@ -102,31 +102,42 @@ def test_dxda_batch_matches_single():
     xi_batch = (rng.random((12, 5)) < 0.5).astype(float)
     batch = dxda_batch(net, xi_batch)
     for i in range(12):
-        single = ng.claims_sensitivity(net, xi_batch[i]).dxda
+        single = dxda_at(net, xi_batch[i])
         np.testing.assert_allclose(batch[i], single, atol=1e-12)
 
 
-def test_threat_index_requires_debt_only():
+def test_dxda_batch_rejects_malformed_solvency_batches():
+    # each problem is named, on the full and the weighted path
     net = ng.symmetric_network(3, 0.2, 0.4)
-    with pytest.raises(ValueError):
-        ng.threat_index(net, np.zeros(3))
+    cases = ((np.array([[1.0, 0.5, 0.0]]), "entries must be 0 or 1, got 0.5"),
+             (np.array([[1.0, np.nan, 0.0]]), "entries must be 0 or 1, got nan"),
+             (np.ones((2, 4)), r"must be a \(B, 3\) array, got shape \(2, 4\)"),
+             (np.ones((2, 2)), r"must be a \(B, 3\) array, got shape \(2, 2\)"),
+             (np.ones(3), r"must be a \(B, 3\) array, got shape \(3,\)"))
+    for xi_batch, problem in cases:
+        for weights in (None, np.ones((1, 6))):
+            with pytest.raises(ValueError, match=problem):
+                dxda_batch(net, xi_batch, weights=weights)
 
+
+# the threat index mu^T = 1^T u_d of a debt-only network: weights (0^T, 1^T)
 
 def test_threat_index_solvent_firms_score_zero():
     net = ng.symmetric_network(3, 0.0, 0.4)
-    np.testing.assert_allclose(ng.threat_index(net, np.ones(3)), 0.0, atol=1e-15)
+    mu = dxda_at(net, np.ones(3), [np.r_[np.zeros(3), np.ones(3)]])[0]
+    np.testing.assert_allclose(mu, 0.0, atol=1e-15)
 
 
 def test_threat_index_isolated_insolvent_firm_scores_one():
     n = 3
     net = ng.FirmNetwork(m_s=np.zeros((n, n)), m_d=np.zeros((n, n)), d=np.ones(n))
-    mu = ng.threat_index(net, np.array([1.0, 0.0, 1.0]))
+    mu = dxda_at(net, np.array([1.0, 0.0, 1.0]), [np.r_[np.zeros(n), np.ones(n)]])[0]
     np.testing.assert_allclose(mu, [0.0, 1.0, 0.0], atol=1e-15)
 
 
 def test_threat_index_symmetric_all_insolvent():
     net = ng.symmetric_network(4, 0.0, 0.4)
-    mu = ng.threat_index(net, np.zeros(4))
+    mu = dxda_at(net, np.zeros(4), [np.r_[np.zeros(4), np.ones(4)]])[0]
     np.testing.assert_allclose(mu, 1.0 / 0.6, atol=1e-12)
 
 
@@ -136,8 +147,8 @@ def test_threat_index_is_debt_block_column_sum():
         n = int(rng.integers(2, 7))
         net = random_network(rng, n, debt_only=True)
         xi = (rng.random(n) < 0.5).astype(float)
-        mu = ng.threat_index(net, xi)
-        u_d = ng.claims_sensitivity(net, xi).u_d
+        mu = dxda_at(net, xi, [np.r_[np.zeros(n), np.ones(n)]])[0]
+        u_d = dxda_at(net, xi)[n:]
         np.testing.assert_allclose(mu, u_d.sum(axis=0), atol=1e-12)
 
 
@@ -146,7 +157,7 @@ def test_threat_index_matches_fd_of_total_recovery():
     for _ in range(10):
         n = int(rng.integers(2, 7))
         net, a, sol = random_interior_scenario(rng, n, debt_only=True)
-        mu = ng.threat_index(net, sol.xi)
+        mu = dxda_at(net, sol.xi, [np.r_[np.zeros(n), np.ones(n)]])[0]
         h = 1e-6
         for j in range(n):
             up, dn = a.copy(), a.copy()
@@ -157,16 +168,18 @@ def test_threat_index_matches_fd_of_total_recovery():
             assert abs(mu[j] - fd) <= 1e-6 * max(1.0, abs(mu[j]))
 
 
+# the aggregate impact 1^T dx*/da: weights 1^T over the 2n claims
+
 def test_aggregate_impact_no_holdings_is_one():
     n = 4
     net = ng.FirmNetwork(m_s=np.zeros((n, n)), m_d=np.zeros((n, n)), d=np.ones(n))
     xi = np.array([1.0, 0.0, 1.0, 0.0])
-    np.testing.assert_allclose(ng.aggregate_impact(net, xi), 1.0, atol=1e-15)
+    np.testing.assert_allclose(dxda_at(net, xi, np.ones((1, 2 * n)))[0], 1.0, atol=1e-15)
 
 
 def test_aggregate_impact_symmetric_insolvent():
     net = ng.symmetric_network(3, 0.0, 0.4)
-    np.testing.assert_allclose(ng.aggregate_impact(net, np.zeros(3)), 1.0 / 0.6,
+    np.testing.assert_allclose(dxda_at(net, np.zeros(3), np.ones((1, 6)))[0], 1.0 / 0.6,
                                atol=1e-12)
 
 
@@ -176,21 +189,25 @@ def test_aggregate_impact_equals_column_sums():
         n = int(rng.integers(2, 7))
         net = random_network(rng, n)
         xi = (rng.random(n) < 0.5).astype(float)
-        agg = ng.aggregate_impact(net, xi)
-        dxda = ng.claims_sensitivity(net, xi).dxda
+        agg = dxda_at(net, xi, np.ones((1, 2 * n)))[0]
+        dxda = dxda_at(net, xi)
         np.testing.assert_allclose(agg, dxda.sum(axis=0), atol=1e-12)
 
+
+# the outside-investor sensitivities: weights (diag(1 - 1^T m_s), diag(1 - 1^T m_d))
 
 def test_outside_sensitivity_no_holdings_is_identity():
     n = 3
     net = ng.FirmNetwork(m_s=np.zeros((n, n)), m_d=np.zeros((n, n)), d=np.ones(n))
-    np.testing.assert_allclose(ng.outside_sensitivity(net, np.array([1.0, 0.0, 1.0])),
+    W = np.hstack([np.eye(n), np.eye(n)])
+    np.testing.assert_allclose(dxda_at(net, np.array([1.0, 0.0, 1.0]), W),
                                np.eye(n), atol=1e-15)
 
 
 def test_outside_sensitivity_symmetric_insolvent_values():
     net = ng.symmetric_network(2, 0.0, 0.4)
-    out = ng.outside_sensitivity(net, np.zeros(2))
+    W = np.hstack([np.eye(2), np.diag(1.0 - net.m_d.sum(axis=0))])
+    out = dxda_at(net, np.zeros(2), W)
     np.testing.assert_allclose(out, [[5.0 / 7.0, 2.0 / 7.0], [2.0 / 7.0, 5.0 / 7.0]],
                                atol=1e-12)
 
@@ -201,7 +218,8 @@ def test_outside_sensitivity_columns_sum_to_one():
         n = int(rng.integers(2, 8))
         net = random_network(rng, n)
         xi = (rng.random(n) < 0.5).astype(float)
-        out = ng.outside_sensitivity(net, xi)
+        W = np.hstack([np.diag(1.0 - net.m_s.sum(axis=0)), np.diag(1.0 - net.m_d.sum(axis=0))])
+        out = dxda_at(net, xi, W)
         np.testing.assert_allclose(out.sum(axis=0), 1.0, atol=1e-10)
 
 
@@ -222,9 +240,8 @@ def test_debt_only_recovery_sensitivity_shrinks_with_solvency():
         n = int(rng.integers(2, 8))
         net = random_network(rng, n, cap=0.85, debt_only=True)
         xi, xi_up = _xi_pair(rng, n)
-        lo = ng.claims_sensitivity(net, xi)
-        hi = ng.claims_sensitivity(net, xi_up)
-        assert np.all(hi.u_d <= lo.u_d + 1e-10)
+        lo, hi = dxda_at(net, xi), dxda_at(net, xi_up)
+        assert np.all(hi[n:] <= lo[n:] + 1e-10)
 
 
 def test_equity_only_equity_sensitivity_grows_with_solvency():
@@ -237,9 +254,8 @@ def test_equity_only_equity_sensitivity_grows_with_solvency():
         m_s = random_network(rng, n, cap=0.85, debt_only=True).m_d
         net = ng.FirmNetwork(m_s=m_s, m_d=np.zeros((n, n)), d=np.ones(n))
         xi, xi_up = _xi_pair(rng, n)
-        lo = ng.claims_sensitivity(net, xi)
-        hi = ng.claims_sensitivity(net, xi_up)
-        assert np.all(hi.u_s >= lo.u_s - 1e-10)
+        lo, hi = dxda_at(net, xi), dxda_at(net, xi_up)
+        assert np.all(hi[:n] >= lo[:n] - 1e-10)
 
 
 def test_cross_block_sensitivity_is_not_monotone_in_solvency():
@@ -252,11 +268,11 @@ def test_cross_block_sensitivity_is_not_monotone_in_solvency():
     # equity sensitivity.
     m_d = np.array([[0.0, 0.5], [0.0, 0.0]])
     net = ng.FirmNetwork(m_s=np.zeros((2, 2)), m_d=m_d, d=np.ones(2))
-    lo = ng.claims_sensitivity(net, np.array([1.0, 0.0]))
-    hi = ng.claims_sensitivity(net, np.array([1.0, 1.0]))
-    np.testing.assert_allclose(lo.u_s, [[1.0, 0.5], [0.0, 0.0]], atol=1e-14)
-    np.testing.assert_allclose(hi.u_s, np.eye(2), atol=1e-14)
-    assert hi.u_s[0, 1] < lo.u_s[0, 1]  # solvent neighbour => smaller response
+    lo_s = dxda_at(net, np.array([1.0, 0.0]))[:2]
+    hi_s = dxda_at(net, np.array([1.0, 1.0]))[:2]
+    np.testing.assert_allclose(lo_s, [[1.0, 0.5], [0.0, 0.0]], atol=1e-14)
+    np.testing.assert_allclose(hi_s, np.eye(2), atol=1e-14)
+    assert hi_s[0, 1] < lo_s[0, 1]  # solvent neighbour => smaller response
 
 
 def test_mixed_network_monotonicity_violations_are_generic():
@@ -269,8 +285,8 @@ def test_mixed_network_monotonicity_violations_are_generic():
         n = int(rng.integers(3, 8))
         net = random_network(rng, n, cap=0.85)
         xi, xi_up = _xi_pair(rng, n)
-        lo, hi = ng.claims_sensitivity(net, xi), ng.claims_sensitivity(net, xi_up)
-        if np.any(hi.u_s < lo.u_s - 1e-10) or np.any(hi.u_d > lo.u_d + 1e-10):
+        lo, hi = dxda_at(net, xi), dxda_at(net, xi_up)
+        if np.any(hi[:n] < lo[:n] - 1e-10) or np.any(hi[n:] > lo[n:] + 1e-10):
             broken += 1
     print(f"mixed-network entrywise monotonicity violations: {broken}/100")
     assert broken > 0  # the counterexamples are generic, not knife-edge
@@ -288,11 +304,11 @@ class _SingularStub:
 def test_singular_system_raises_sensitivity_error():
     Stub = _SingularStub
     with pytest.raises(ng.SensitivityError):
-        ng.claims_sensitivity(Stub(), np.zeros(2))
+        dxda_batch(Stub(), np.zeros((1, 2)))
     with pytest.raises(ng.SensitivityError):
         dxda_batch(Stub(), np.zeros((3, 2)))
     with pytest.raises(ng.SensitivityError):
-        ng.aggregate_impact(Stub(), np.zeros(2))
+        dxda_batch(Stub(), np.zeros((1, 2)), weights=np.ones((1, 4)))
     # the error names the offending pattern and its live block
     with pytest.raises(ng.SensitivityError, match=r"pattern 00 \(live firms \[0, 1\]\)"):
         dxda_batch(Stub(), np.array([[1.0, 0.0], [0.0, 0.0], [1.0, 1.0]]))
@@ -304,7 +320,7 @@ def test_singular_system_raises_on_weighted_path():
     with pytest.raises(ng.SensitivityError):
         dxda_batch(_SingularStub(), np.zeros((3, 2)), weights=np.ones((1, 4)))
     with pytest.raises(ng.SensitivityError):
-        ng.threat_index(_SingularStub(), np.zeros(2))
+        dxda_batch(_SingularStub(), np.zeros((1, 2)), weights=[[0.0, 0.0, 1.0, 1.0]])
 
 
 def _block_average(n):
@@ -433,7 +449,7 @@ def test_forward_solve_matches_dense_solve_once_per_pattern(monkeypatch):
     worst = 0.0
     for rng, net, xi_batch in _kernel_cases(84):
         b = rng.uniform(-1.0, 3.0, size=xi_batch.shape)
-        solvent, inverse = sens._distinct_patterns(xi_batch)
+        solvent, inverse = sens._distinct_patterns(xi_batch == 1.0)
         factored.clear()
         got = sens._forward_solve(net, solvent, inverse, b.T).T
         assert sum(factored) == sens._live(net, solvent).any(axis=1).sum()
@@ -474,7 +490,7 @@ def test_every_solve_with_a_xi_runs_inside_the_adjoint_kernel(monkeypatch):
     assert len(inside) == 2 and all(inside)
     assert kernel_calls == [1, 1]
     dxda_batch(net, np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [1.0, 0.0]]))
-    ng.claims_sensitivity(net, sol.xi[0])
+    dxda_at(net, sol.xi[0])
     assert kernel_calls == [1, 1, 3, 1]
     assert len(inside) >= 4 and all(inside)
 
@@ -500,7 +516,7 @@ def test_distinct_patterns_match_sorted_void_keys(n, rows, batch, seed):
         xi = few[rng.integers(0, len(few), size=rows)]
     else:
         xi = (rng.random((rows, n)) < rng.random()).astype(float)
-    solvent, inverse = _distinct_patterns(xi)
+    solvent, inverse = _distinct_patterns(xi == 1.0)
     want_solvent, want_inverse = distinct_patterns_oracle(xi)
     np.testing.assert_array_equal(solvent, want_solvent)
     np.testing.assert_array_equal(inverse, want_inverse)
