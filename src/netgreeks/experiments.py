@@ -69,10 +69,19 @@ def _fmt(value) -> str:
     return f"{float(value):.17g}"
 
 
-def write_csv(path, header: list[str], rows: list[list]) -> None:
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines(",".join(_fmt(v) for v in row) + "\n" for row in rows)
+def write_csv(path, header: list[str], rows) -> None:
+    """Write header and rows; rows may be produced lazily.
+
+    If producing or writing them fails, the partial file is removed.
+    """
+    fh = open(path, "w")
+    try:
+        with fh:
+            fh.write(",".join(header) + "\n")
+            fh.writelines(",".join(_fmt(v) for v in row) + "\n" for row in rows)
+    except BaseException:
+        Path(path).unlink(missing_ok=True)
+        raise
 
 
 def _grid(obj, key) -> tuple[float, ...]:
@@ -285,24 +294,24 @@ def run_symmetric_grid(cfg: ExperimentConfig, out=None) -> list[list]:
 TWO_FIRM_HEADER = ["draw", "seed", "a1_T", "a2_T", "v1", "v2", "xi1", "xi2"]
 
 
-def run_two_firm(cfg: ExperimentConfig, out=None) -> list[list]:
+def run_two_firm(cfg: ExperimentConfig, out=None) -> list[list] | None:
     """Per-draw firm values for two firms with mutual debt holdings.
 
     Assets are independent; any correlation between realized firm values is
-    generated by the cross-holdings alone.
+    generated by the cross-holdings alone.  With out, the rows stream to the
+    CSV one chunk at a time and None is returned; without, the list of rows.
     """
     with _config_errors("network"):
         net = symmetric_network(2, 0.0, cfg.w_d[0], cfg.d)
     with _config_errors("asset model"):
         gbm = GbmParams(a_t=np.full(2, cfg.a0[0]), sigma=np.full(2, cfg.sigma[0]),
                         r=cfg.r, tau=cfg.tau, corr=np.eye(2))
-    rows = []
-    for start, a_T, sol in _solved_chunks(cfg, net, gbm):
-        rows.extend([start + i, cfg.seed, *a_T[i], *sol.v[i], *map(int, sol.xi[i])]
-                    for i in range(len(a_T)))
-    if out is not None:
-        write_csv(out, TWO_FIRM_HEADER, rows)
-    return rows
+    rows = ([start + i, cfg.seed, *a_T[i], *sol.v[i], *map(int, sol.xi[i])]
+            for start, a_T, sol in _solved_chunks(cfg, net, gbm) for i in range(len(a_T)))
+    if out is None:
+        return list(rows)
+    write_csv(out, TWO_FIRM_HEADER, rows)
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -120,8 +120,11 @@ def _sweeps(net, a, s, r, tol, it, max_iter):
     the next iterate is g(x) = (max(0, v - d), min(d, v)).
     """
     d = net.d[:, None]
+    # a debt-only network adds m_s s = +0.0 to a positive a, which is exact
+    equity = np.any(net.m_s)
     while True:
-        v = a + _dot(net.m_s, s) + _dot(net.m_d, r)
+        v = a + _dot(net.m_s, s) if equity else a
+        v = v + _dot(net.m_d, r)
         s_new = np.maximum(0.0, v - d)
         r_new = np.minimum(d, v)
         step = np.maximum(np.abs(s_new - s), np.abs(r_new - r))

@@ -66,7 +66,9 @@ class _RunningStat:
     def from_samples(cls, x: np.ndarray) -> "_RunningStat":
         count = x.shape[-1]
         mean = x.mean(axis=-1)
-        m2 = np.square(x - mean[..., None]).sum(axis=-1)
+        dev = x - mean[..., None]
+        dev *= dev
+        m2 = dev.sum(axis=-1)
         return cls(count=count, mean=mean, m2=m2)
 
     def merge(self, other: "_RunningStat") -> "_RunningStat":

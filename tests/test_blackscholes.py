@@ -2,6 +2,7 @@
 
 import numpy as np
 from hypothesis import given, strategies as st
+from scipy.special import ndtr
 
 from netgreeks.blackscholes import (
     call_price,
@@ -73,3 +74,20 @@ def test_norm_functions():
     h = 1e-6
     np.testing.assert_allclose((norm_cdf(x + h) - norm_cdf(x - h)) / (2 * h),
                                norm_pdf(x), atol=1e-9)
+
+
+def test_norm_cdf_equals_scipy_ndtr():
+    # every Cephes branch: erf below |x| = sqrt(2), erfc's P/Q and R/S, the underflow
+    x = np.linspace(-40.0, 40.0, 400_001)
+    np.testing.assert_array_equal(norm_cdf(x), ndtr(x))
+    edges = np.array([np.sqrt(2.0), 8.0 * np.sqrt(2.0), np.sqrt(2.0 * 7.09782712893383996843e2)])
+    edges = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf)])
+    edges = np.concatenate([edges, -edges, [0.0, -0.0, np.inf, -np.inf]])
+    np.testing.assert_array_equal(norm_cdf(edges), ndtr(edges))
+
+
+def test_norm_cdf_keeps_shape_and_returns_a_scalar_for_a_scalar():
+    value = norm_cdf(0.3)
+    assert isinstance(value, np.float64) and value == ndtr(0.3)
+    assert isinstance(norm_cdf(np.float64(-2.0)), np.float64)
+    assert norm_cdf(np.zeros((2, 3))).shape == (2, 3)

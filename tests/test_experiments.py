@@ -2,6 +2,7 @@
 
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -197,6 +198,20 @@ def test_two_firm_csv(tmp_path):
     assert len(lines) == 51
 
 
+def test_two_firm_csv_streams_its_rows(tmp_path):
+    # 100,000 rows held as lists of Python numbers take about 32 MB; written
+    # chunk by chunk, the peak is one chunk's arrays (about 5 MB)
+    out = tmp_path / "two.csv"
+    tracemalloc.start()
+    try:
+        assert run_two_firm(_two_firm_cfg(draws=100_000), out=out) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6, f"peak {peak / 1e6:.1f} MB"
+    assert len(out.read_text().splitlines()) == 100_001
+
+
 def test_two_firm_chunks_match_one_batch():
     # draws in _chunk_size(2) chunks: the same draws and patterns, and values
     # within 1e-12, as one batch of every draw.  The 3-draw tail is plain
@@ -231,6 +246,23 @@ def test_chunked_runner_failure_names_the_draw_of_the_run(monkeypatch):
         run_two_firm(_two_firm_cfg(draws=_chunk_size(2) + 3))
     assert err.value.draw == draw
     assert calls == [_chunk_size(2), 3]
+
+
+def test_streamed_csv_is_removed_when_a_chunk_fails(monkeypatch, tmp_path):
+    real = experiments.solve_claims_batch
+    calls = []
+
+    def fail_second_chunk(net, a_T, cfg):
+        calls.append(len(a_T))
+        if len(calls) == 2:
+            raise ConvergenceError("no convergence", draw=0)
+        return real(net, a_T, cfg)
+
+    monkeypatch.setattr(experiments, "solve_claims_batch", fail_second_chunk)
+    out = tmp_path / "two.csv"
+    with pytest.raises(ConvergenceError):
+        run_two_firm(_two_firm_cfg(draws=_chunk_size(2) + 3), out=out)
+    assert len(calls) == 2 and not out.exists()
 
 
 # --- er-sweep --------------------------------------------------------------------

@@ -4,9 +4,12 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from netgreeks.gbm import (
+    _EXP_M2,
     GbmParams,
+    _ndtri,
     normal_variates,
     sample_terminal,
     terminal_partials,
@@ -132,6 +135,30 @@ def test_normal_variates_moments():
     z = normal_variates(7, 200_000, 2)
     assert abs(z.mean()) < 4.0 / np.sqrt(z.size)
     assert abs(z.var() - 1.0) < 0.02
+
+
+def _assert_ndtri_matches_scipy(y):
+    # bit for bit on the central branch; the tails use numpy's log, which may
+    # round differently from the C library's log that scipy's ndtri calls
+    got, want = _ndtri(y), ndtri(y)
+    central = (y > _EXP_M2) & (y <= 1.0 - _EXP_M2)
+    np.testing.assert_array_equal(got[central], want[central])
+    np.testing.assert_allclose(got, want, rtol=2e-15, atol=0.0)
+
+
+def test_ndtri_matches_scipy_on_philox_uniforms():
+    u = np.random.Generator(np.random.Philox(key=11)).random(1_000_000)
+    _assert_ndtri_matches_scipy(np.maximum(u, np.finfo(float).tiny))
+
+
+def test_ndtri_matches_scipy_at_branch_edges():
+    # the guard's tiny, both ends of the central branch, x = sqrt(-2 log y) = 8
+    # where the tail tables switch, the median and the largest uniform below 1
+    edges = [np.finfo(float).tiny, _EXP_M2, 1.0 - _EXP_M2, np.exp(-32.0)]
+    y = np.concatenate([[e, np.nextafter(e, 0.0), np.nextafter(e, 1.0)] for e in edges]
+                       + [[0.5, 1.0 - 2.0**-53]])
+    _assert_ndtri_matches_scipy(y)
+    assert _ndtri(np.array([0.5]))[0] == 0.0
 
 
 # --- terminal sampling ------------------------------------------------------

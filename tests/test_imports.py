@@ -8,11 +8,15 @@ refers to it or lists it in ``__all__``; everything ``__init__`` imports is
 a re-export.  A private name (``_name``) counts as used when some module of
 the package reads it; the tests do not count.  An exported name counts as
 called when a package module other than ``__init__`` reads it, or a
-benchmark or script module imports or reads it.
+benchmark or script module imports or reads it.  One more check imports the
+CLI in a fresh interpreter: it must load numpy and no scipy.
 """
 
 import ast
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import netgreeks
@@ -145,3 +149,12 @@ def test_every_export_has_a_caller_outside_tests():
     assert len(exports) >= 30 and len(outside) >= 5
     unused = exports_without_callers(exports, package, outside)
     assert not unused, f"exported names only the tests call: {unused}"
+
+
+def test_cli_import_loads_no_scipy():
+    # numpy is the one runtime dependency; scipy is the tests' oracle
+    code = ("import sys, netgreeks.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          cwd=ROOT, env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)}, check=True)
+    assert proc.stdout.strip() == "[]"
