@@ -10,6 +10,6 @@ netgreeks two-firm       --config configs/two_firm.json
 netgreeks price          --config configs/price_example.json
 netgreeks greeks         --config configs/greeks_example.json
 netgreeks local-compare  --config configs/local_compare.json
-netgreeks er-sweep       --config configs/er_sweep_quick.json --threads "${THREADS:-4}"
+netgreeks er-sweep       --config configs/er_sweep_quick.json --threads "${THREADS:-1}"
 
 echo "all outputs in out/"

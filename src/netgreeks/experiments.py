@@ -14,6 +14,7 @@ import sys
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 from itertools import product
 from pathlib import Path
 
@@ -62,11 +63,7 @@ def _config_errors(what: str):
 
 
 def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return str(bool(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return f"{float(value):.17g}"
+    return str(value) if isinstance(value, (int, np.integer)) else f"{value:.17g}"
 
 
 def write_csv(path, header: list[str], rows) -> None:
@@ -244,6 +241,16 @@ def _task_seed(base: int, *tags: int) -> int:
     return int(seq.generate_state(1, np.uint64)[0])
 
 
+def _gbm_from_config(cfg: ExperimentConfig, n: int, a_t) -> GbmParams:
+    # n firms at spots a_t with cfg's sigma, r, tau and corr; a single a_t or
+    # sigma applies to every firm
+    with _config_errors("asset model"):
+        a_t, sigma = (np.full(n, v[0]) if len(v) == 1 else np.asarray(v, dtype=float)
+                      for v in (a_t, cfg.sigma))
+        corr = np.eye(n) if cfg.corr is None else np.asarray(cfg.corr, dtype=float)
+        return GbmParams(a_t=a_t, sigma=sigma, r=cfg.r, tau=cfg.tau, corr=corr)
+
+
 def _solved_chunks(cfg: ExperimentConfig, net: FirmNetwork, gbm: GbmParams):
     """(start, a_T, solution) per Monte Carlo chunk of the cfg.draws draws, in order."""
     size = _chunk_size(net.n)
@@ -303,9 +310,7 @@ def run_two_firm(cfg: ExperimentConfig, out=None) -> list[list] | None:
     """
     with _config_errors("network"):
         net = symmetric_network(2, 0.0, cfg.w_d[0], cfg.d)
-    with _config_errors("asset model"):
-        gbm = GbmParams(a_t=np.full(2, cfg.a0[0]), sigma=np.full(2, cfg.sigma[0]),
-                        r=cfg.r, tau=cfg.tau, corr=np.eye(2))
+    gbm = _gbm_from_config(cfg, 2, cfg.a0)
     rows = ([start + i, cfg.seed, *a_T[i], *sol.v[i], *map(int, sol.xi[i])]
             for start, a_T, sol in _solved_chunks(cfg, net, gbm) for i in range(len(a_T)))
     if out is None:
@@ -329,27 +334,20 @@ ER_SWEEP_HEADER = [
 ]
 
 
-def _member_aggregates(net, gbm, draws, seed, fp_cfg):
+def _member_stats(task, draws, fp_cfg):
+    """One ensemble member's statistics vector and boundary hits.
+
+    task is (network, asset model, seed).  The vector is (s_price, r_price,
+    default_prob, delta_s, delta_r, vega_s, vega_r, theta_s, theta_r, rho_s,
+    rho_r, pi), each a firm average.
+    """
+    net, gbm, seed = task
     # one portfolio per block, the firm average of equity and of debt: the row
     # needs only these two rows of dx*/da, one transposed solve per pattern
-    n = net.n
     rep = mc_greeks(net, gbm, draws, seed, cfg=fp_cfg,
-                    weights=np.kron(np.eye(2), np.full((1, n), 1.0 / n)))
-    return {
-        "s_price": rep.price[0],
-        "r_price": rep.price[1],
-        "default_prob": rep.default_prob.mean(),
-        "delta_s": rep.delta[0].sum(),
-        "delta_r": rep.delta[1].sum(),
-        "vega_s": rep.vega[0].sum(),
-        "vega_r": rep.vega[1].sum(),
-        "theta_s": rep.theta[0],
-        "theta_r": rep.theta[1],
-        "rho_s": rep.rho[0],
-        "rho_r": rep.rho[1],
-        "pi": rep.pi.sum(),
-        "boundary_hits": rep.boundary_hits,
-    }
+                    weights=np.kron(np.eye(2), np.full((1, net.n), 1.0 / net.n)))
+    return np.array([*rep.price, rep.default_prob.mean(), *rep.delta.sum(axis=1),
+                     *rep.vega.sum(axis=1), *rep.theta, *rep.rho, rep.pi.sum()]), rep.boundary_hits
 
 
 def run_er_sweep(cfg: ExperimentConfig, out=None) -> list[list]:
@@ -359,53 +357,34 @@ def run_er_sweep(cfg: ExperimentConfig, out=None) -> list[list]:
     Monte Carlo seeds are derived per (cell, member).  Firm-level quantities
     are averaged over firms, then over ensemble members.
     """
-    sigma = cfg.sigma[0]
-    fp_cfg = cfg.fixed_point_config()
-    n = cfg.n
-    with _config_errors("asset model"):
-        gbms = [GbmParams(a_t=np.full(n, a0), sigma=np.full(n, sigma), r=cfg.r,
-                          tau=cfg.tau, corr=np.eye(n)) for a0 in cfg.a0]
+    gbms = [_gbm_from_config(cfg, cfg.n, (a0,)) for a0 in cfg.a0]
+    member = partial(_member_stats, draws=cfg.draws, fp_cfg=cfg.fixed_point_config())
     rows = []
     total = len(cfg.k_mean) * len(cfg.w_d) * len(cfg.a0)
     start = time.perf_counter()
     for ki, k_mean in enumerate(cfg.k_mean):
         for wi, w_d in enumerate(cfg.w_d):
-            net_seeds = [_task_seed(cfg.seed, 0, ki, wi, m) for m in range(cfg.networks)]
             with _config_errors("network"):
-                nets = [er_network(n, k_mean, w_d, seed=s, d=cfg.d,
-                                   sinkhorn=cfg.sinkhorn) for s in net_seeds]
-
-            tasks = [(ai, m) for ai in range(len(cfg.a0)) for m in range(cfg.networks)]
-
-            def work(task, nets=nets, ki=ki, wi=wi):
-                ai, m = task
-                seed = _task_seed(cfg.seed, 1, ki, wi, ai, m)
-                return _member_aggregates(nets[m], gbms[ai], cfg.draws, seed, fp_cfg)
-
-            results = _ordered_map(work, tasks, cfg.threads)
+                nets = [er_network(cfg.n, k_mean, w_d, seed=_task_seed(cfg.seed, 0, ki, wi, m),
+                                   d=cfg.d, sinkhorn=cfg.sinkhorn) for m in range(cfg.networks)]
+            tasks = [(net, gbm, _task_seed(cfg.seed, 1, ki, wi, ai, m))
+                     for ai, gbm in enumerate(gbms) for m, net in enumerate(nets)]
+            results = _ordered_map(member, tasks, cfg.threads)
             for ai, a0 in enumerate(cfg.a0):
                 cell = results[ai * cfg.networks:(ai + 1) * cfg.networks]
-                mean = {key: float(np.mean([c[key] for c in cell]))
-                        for key in cell[0] if key != "boundary_hits"}
-                hits = int(sum(c["boundary_hits"] for c in cell))
-                v_price = mean["s_price"] + mean["r_price"]
-                rows.append([
-                    k_mean, w_d, a0, sigma, cfg.d, cfg.r, cfg.tau, n,
-                    cfg.networks, cfg.draws, cfg.seed,
-                    mean["s_price"], mean["r_price"], v_price,
-                    mean["s_price"] / v_price if v_price else np.nan,
-                    a0 / v_price if v_price else np.nan,
-                    mean["default_prob"],
-                    mean["delta_s"], mean["delta_r"],
-                    mean["delta_s"] + mean["delta_r"],
-                    mean["vega_s"], mean["vega_r"],
-                    mean["vega_s"] + mean["vega_r"],
-                    mean["theta_s"], mean["theta_r"],
-                    mean["theta_s"] + mean["theta_r"],
-                    mean["rho_s"], mean["rho_r"],
-                    mean["rho_s"] + mean["rho_r"],
-                    mean["pi"], hits,
-                ])
+                # each statistic's mean along a contiguous member axis is
+                # numpy's pairwise sum, as over a 1-D list of members
+                mean = np.array([vec for vec, _ in cell]).T.copy().mean(axis=1).tolist()
+                s_price, r_price, default_prob, *greeks, pi = mean
+                v_price = s_price + r_price
+                row = [k_mean, w_d, a0, cfg.sigma[0], cfg.d, cfg.r, cfg.tau, cfg.n,
+                       cfg.networks, cfg.draws, cfg.seed, s_price, r_price, v_price,
+                       s_price / v_price if v_price else np.nan,
+                       a0 / v_price if v_price else np.nan, default_prob]
+                # delta, vega, theta and rho: equity, debt and their total
+                for equity, debt in zip(greeks[::2], greeks[1::2]):
+                    row += [equity, debt, equity + debt]
+                rows.append(row + [pi, sum(hits for _, hits in cell)])
             elapsed = time.perf_counter() - start
             eta = elapsed * (total - len(rows)) / len(rows)
             _progress(f"er-sweep: k_mean={k_mean:g} w_d={w_d:g} done "
@@ -419,15 +398,6 @@ def run_er_sweep(cfg: ExperimentConfig, out=None) -> list[list]:
 # ---------------------------------------------------------------------------
 # pricing and Greeks for a network from file
 
-def _gbm_from_config(cfg: ExperimentConfig, net: FirmNetwork) -> GbmParams:
-    # a single a_t or sigma applies to every firm
-    a_t, sigma = (np.full(net.n, v[0]) if len(v) == 1 else np.asarray(v, dtype=float)
-                  for v in (cfg.a_t, cfg.sigma))
-    with _config_errors("asset model"):
-        corr = np.eye(net.n) if cfg.corr is None else np.asarray(cfg.corr, dtype=float)
-        return GbmParams(a_t=a_t, sigma=sigma, r=cfg.r, tau=cfg.tau, corr=corr)
-
-
 def _load_net(cfg: ExperimentConfig) -> FirmNetwork:
     try:
         return load_network(cfg.network)
@@ -437,7 +407,7 @@ def _load_net(cfg: ExperimentConfig) -> FirmNetwork:
 
 def run_price(cfg: ExperimentConfig, out=None) -> dict:
     net = _load_net(cfg)
-    res = price_claims(net, _gbm_from_config(cfg, net), cfg.draws, cfg.seed,
+    res = price_claims(net, _gbm_from_config(cfg, net.n, cfg.a_t), cfg.draws, cfg.seed,
                        cfg=cfg.fixed_point_config(), threads=cfg.threads)
     payload = res.to_dict()
     payload["n"] = net.n
@@ -448,7 +418,7 @@ def run_price(cfg: ExperimentConfig, out=None) -> dict:
 
 def run_greeks(cfg: ExperimentConfig, out=None) -> dict:
     net = _load_net(cfg)
-    rep = mc_greeks(net, _gbm_from_config(cfg, net), cfg.draws, cfg.seed,
+    rep = mc_greeks(net, _gbm_from_config(cfg, net.n, cfg.a_t), cfg.draws, cfg.seed,
                     cfg=cfg.fixed_point_config(), threads=cfg.threads)
     payload = rep.to_dict()
     if out is not None:
@@ -476,7 +446,7 @@ def run_local_compare(cfg: ExperimentConfig, out=None) -> list[list]:
     """
     net = _load_net(cfg)
     n = net.n
-    gbm = _gbm_from_config(cfg, net)
+    gbm = _gbm_from_config(cfg, net.n, cfg.a_t)
     # the local approximations' inputs, checked before the Monte Carlo pass
     with _config_errors("local approximation"):
         _checked_firm_vol(net, cfg.firm_vol, cfg.tau)

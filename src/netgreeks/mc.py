@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -187,8 +188,9 @@ def _at_draw(exc: ConvergenceError, start: int) -> ConvergenceError:
                             residual=exc.residual, iterations=exc.iterations, draw=draw)
 
 
-def _mc_chunk(net, gbm, cfg, seed, start, count, want_greeks, weights):
-    z = normal_variates(seed, count, gbm.n, start=start)
+def _mc_chunk(net, gbm, cfg, seed, draws, want_greeks, weights, start):
+    # the chunk of the draws-draw run that begins at draw start
+    z = normal_variates(seed, min(_chunk_size(gbm.n), draws - start), gbm.n, start=start)
     a_T = sample_terminal(gbm, z)
     try:
         sol = solve_claims_batch(net, a_T, cfg)
@@ -226,12 +228,8 @@ def _run_chunks(net, gbm, draws, seed, cfg, want_greeks, threads, weights):
         raise ValueError(f"network has {net.n} firms, asset model has {gbm.n}")
     if draws < 2:
         raise ValueError("need at least 2 draws for standard errors")
-    size = _chunk_size(gbm.n)
-
-    def work(start):
-        return _mc_chunk(net, gbm, cfg, seed, start, min(size, draws - start), want_greeks, weights)
-
-    results = _ordered_map(work, range(0, draws, size), threads)
+    results = _ordered_map(partial(_mc_chunk, net, gbm, cfg, seed, draws, want_greeks, weights),
+                           range(0, draws, _chunk_size(gbm.n)), threads)
 
     names = results[0][0].keys()
     stats = {name: _tree_merge([res[0][name] for res in results]) for name in names}

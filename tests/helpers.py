@@ -171,25 +171,21 @@ def weighting_matrix(net, xi):
     return np.linalg.solve(eye - jacobian_g(net, xi), eye)
 
 
-def member_aggregates_from_report(rep):
-    """An er-sweep member's row entries reduced from the full GreekReport.
+def member_stats_from_report(rep):
+    """An er-sweep member's statistics vector and boundary hits, from the full GreekReport.
 
-    The oracle for ``experiments._member_aggregates``, which gets the same
-    numbers from the two block-average portfolios without the full report.
+    The oracle for ``experiments._member_stats``, which gets the same
+    numbers from the two block-average portfolios without the full report:
+    the firm averages of (s_price, r_price, default_prob, delta_s, delta_r,
+    vega_s, vega_r, theta_s, theta_r, rho_s, rho_r, pi).
     """
     n = rep.n
-    return {
-        "s_price": rep.price[:n].mean(),
-        "r_price": rep.price[n:].mean(),
-        "default_prob": rep.default_prob.mean(),
-        "delta_s": rep.delta[:n].sum() / n,
-        "delta_r": rep.delta[n:].sum() / n,
-        "vega_s": rep.vega[:n].sum() / n,
-        "vega_r": rep.vega[n:].sum() / n,
-        "theta_s": rep.theta[:n].mean(),
-        "theta_r": rep.theta[n:].mean(),
-        "rho_s": rep.rho[:n].mean(),
-        "rho_r": rep.rho[n:].mean(),
-        "pi": rep.pi.mean(),
-        "boundary_hits": rep.boundary_hits,
-    }
+    equity, debt = slice(None, n), slice(n, None)
+    return np.array([
+        rep.price[equity].mean(), rep.price[debt].mean(), rep.default_prob.mean(),
+        rep.delta[equity].sum() / n, rep.delta[debt].sum() / n,
+        rep.vega[equity].sum() / n, rep.vega[debt].sum() / n,
+        rep.theta[equity].mean(), rep.theta[debt].mean(),
+        rep.rho[equity].mean(), rep.rho[debt].mean(),
+        rep.pi.mean(),
+    ]), rep.boundary_hits

@@ -16,7 +16,7 @@ from netgreeks.experiments import (
     ConfigError,
     ExperimentConfig,
     _grid,
-    _member_aggregates,
+    _member_stats,
     _task_seed,
     run_er_sweep,
     run_experiment,
@@ -32,7 +32,7 @@ from netgreeks import (ConvergenceError, GbmParams, normal_variates, sample_term
                        solve_claims_batch, symmetric_network)
 from netgreeks.mc import _chunk_size
 
-from helpers import member_aggregates_from_report
+from helpers import member_stats_from_report
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -301,6 +301,33 @@ def test_er_sweep_threads_do_not_change_bytes(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_fan_out_tasks_pickle_and_replay_the_run(tmp_path, monkeypatch, capsys):
+    # a worker process would get each fan-out's function and tasks by pickle:
+    # the unpickled copies, run serially, must write the same bytes
+    import pickle
+
+    from netgreeks import mc
+
+    configs = [_sweep_cfg(threads=2), ExperimentConfig.from_dict(
+        {"kind": "greeks", "network": str(CONFIGS / "example_network.json"), "a_t": 1.0,
+         "sigma": 0.4, "draws": 2 * _chunk_size(3) + 5, "seed": 3, "threads": 2})]
+    for i, cfg in enumerate(configs):
+        run_experiment(cfg, out=tmp_path / f"want{i}")
+    fns = []
+
+    def unpickled_serial_map(fn, tasks, threads):
+        fn, tasks = pickle.loads(pickle.dumps((fn, list(tasks))))
+        fns.append(fn)
+        return [fn(task) for task in tasks]
+
+    monkeypatch.setattr(experiments, "_ordered_map", unpickled_serial_map)
+    monkeypatch.setattr(mc, "_ordered_map", unpickled_serial_map)
+    for i, cfg in enumerate(configs):
+        run_experiment(cfg, out=tmp_path / f"got{i}")
+        assert (tmp_path / f"got{i}").read_bytes() == (tmp_path / f"want{i}").read_bytes()
+    assert {fn.func.__name__ for fn in fns} == {"_member_stats", "_mc_chunk"}
+
+
 def test_er_sweep_replay_identical(tmp_path):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
@@ -355,16 +382,15 @@ def test_member_aggregates_match_full_report_reductions():
         gbm = GbmParams(a_t=np.full(n, a0), sigma=np.full(n, 0.4), r=r, tau=1.0,
                         corr=np.eye(n))
         seed = _task_seed(5, 1, i)
-        got = _member_aggregates(net, gbm, 300, seed, fp_cfg)
-        want = member_aggregates_from_report(mc_greeks(net, gbm, 300, seed, cfg=fp_cfg))
-        assert got.keys() == want.keys()
-        assert got["boundary_hits"] == want["boundary_hits"]
-        for key in want:
-            scale = abs(want[key])
-            err = abs(got[key] - want[key]) / (scale if scale > 1e-12 else 1.0)
-            worst = max(worst, err)
-            assert err <= 1e-12, (k_mean, w_d, key, got[key], want[key])
-    print(f"member aggregates: worst relative deviation {worst:.1e}")
+        got, got_hits = _member_stats((net, gbm, seed), 300, fp_cfg)
+        want, want_hits = member_stats_from_report(mc_greeks(net, gbm, 300, seed, cfg=fp_cfg))
+        assert got.shape == want.shape == (12,)
+        assert got_hits == want_hits
+        scale = np.where(np.abs(want) > 1e-12, np.abs(want), 1.0)
+        err = np.abs(got - want) / scale
+        worst = max(worst, err.max())
+        assert np.all(err <= 1e-12), (k_mean, w_d, got, want)
+    print(f"member statistics: worst relative deviation {worst:.1e}")
 
 
 def test_er_sweep_progress_reports_elapsed_and_eta(tmp_path, capsys):
