@@ -2,7 +2,7 @@
 
 from .blackscholes import call_price, put_price
 from .fixpoint import BatchSolution, ConvergenceError, FixedPointConfig, solve_claims_batch
-from .gbm import GbmParams, normal_variates, sample_terminal, terminal_partials
+from .gbm import GbmParams, normal_variates, sample_terminal
 from .local import (LocalValuationState, independent_default_delta,
                     local_delta, local_fixed_point, marginal_contagion)
 from .mc import GreekReport, PriceResult, mc_greeks, price_claims

@@ -117,21 +117,28 @@ def _sweeps(net, a, s, r, tol, it, max_iter):
     it counts the map evaluations already spent.  Returns (s, r, v, step,
     it): the iterate at which the step ||g(x) - x|| was measured, its firm
     value and the per-firm step, all (n, B).  The caller checks convergence;
-    the next iterate is g(x) = (max(0, v - d), min(d, v)).
+    the next iterate is g(x) = (max(0, v - d), min(d, v)).  The sweeps
+    write into s and r, which the callers pass as fresh arrays.
     """
     d = net.d[:, None]
     # a debt-only network adds m_s s = +0.0 to a positive a, which is exact
     equity = np.any(net.m_s)
+    v, s_new, r_new, step, gap = (np.empty_like(a) for _ in range(5))
     while True:
-        v = a + _dot(net.m_s, s) if equity else a
-        v = v + _dot(net.m_d, r)
-        s_new = np.maximum(0.0, v - d)
-        r_new = np.minimum(d, v)
-        step = np.maximum(np.abs(s_new - s), np.abs(r_new - r))
+        if equity:
+            np.add(a, _dot(net.m_s, s), out=v)
+            v += _dot(net.m_d, r)
+        else:
+            np.add(a, _dot(net.m_d, r), out=v)
+        np.maximum(0.0, np.subtract(v, d, out=s_new), out=s_new)
+        np.minimum(d, v, out=r_new)
+        np.abs(np.subtract(s_new, s, out=gap), out=gap)
+        np.maximum(gap, np.abs(np.subtract(r_new, r, out=step), out=step), out=step)
         it += 1
         if step.max() <= tol or it >= max_iter:
             return s, r, v, step, it
-        s, r = s_new, r_new
+        s, s_new = s_new, s
+        r, r_new = r_new, r
 
 
 def _convergence_error(net, v, step, cfg, rows):

@@ -31,7 +31,6 @@ __all__ = [
     "GbmParams",
     "normal_variates",
     "sample_terminal",
-    "terminal_partials",
 ]
 
 
@@ -166,25 +165,33 @@ def normal_variates(seed: int, count: int, n: int, start: int = 0) -> np.ndarray
     return _ndtri(np.maximum(u, np.finfo(float).tiny))
 
 
-def sample_terminal(params: GbmParams, z: np.ndarray) -> np.ndarray:
-    """Map standard normals z (..., n) to terminal asset values A_T."""
-    y = np.asarray(z, dtype=float) @ params.chol.T
+def _terminal(params: GbmParams, y: np.ndarray) -> np.ndarray:
+    """A_T from correlated normals y = z L^T, (..., n)."""
     drift = (params.r - 0.5 * params.sigma**2) * params.tau
     return params.a_t * np.exp(drift + np.sqrt(params.tau) * params.sigma * y)
 
 
-def terminal_partials(params: GbmParams, z: np.ndarray, a_T: np.ndarray):
-    """Pathwise derivatives (da_t, dsigma, dr, dtau) of A_T, each shaped like a_T.
+def sample_terminal(params: GbmParams, z: np.ndarray) -> np.ndarray:
+    """Map standard normals z (..., n) to terminal asset values A_T."""
+    return _terminal(params, np.asarray(z, dtype=float) @ params.chol.T)
 
-    da_t and dsigma are per asset (dA_T^i / da_t^i, dA_T^i / dsigma_i); all
-    four differentiate the sampling map at fixed z, which is the correct
-    coupling for pathwise Greek estimators.
+
+def _terminal_with_partials(params: GbmParams, z: np.ndarray):
+    """A_T for (B, n) normals z, and its pathwise partials (da_t, dsigma, dr, dtau).
+
+    The partials are C-contiguous draw-last (n, B) arrays: da_t and dsigma
+    per asset (dA_T^i / da_t^i, dA_T^i / dsigma_i), dr and dtau for the
+    scalars.  All four differentiate the sampling map at fixed z, which is
+    the correct coupling for pathwise Greek estimators.  One product z L^T
+    serves A_T and the partials.
     """
     y = np.asarray(z, dtype=float) @ params.chol.T
-    sig = params.sigma
+    a_T = _terminal(params, y)
+    y, a = y.T.copy(), a_T.T.copy()
+    sig = params.sigma[:, None]
     tau = params.tau
     sqrt_tau = np.sqrt(tau)
-    return (a_T / params.a_t,
-            a_T * (-sig * tau + sqrt_tau * y),
-            a_T * tau,
-            a_T * (params.r - 0.5 * sig**2 + sig * y / (2.0 * sqrt_tau)))
+    return a_T, (a / params.a_t[:, None],
+                 a * (-sig * tau + sqrt_tau * y),
+                 a * tau,
+                 a * (params.r - 0.5 * sig**2 + sig * y / (2.0 * sqrt_tau)))

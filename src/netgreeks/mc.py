@@ -26,7 +26,7 @@ from functools import partial
 import numpy as np
 
 from .fixpoint import DEFAULT_CONFIG, ConvergenceError, FixedPointConfig, solve_claims_batch
-from .gbm import GbmParams, normal_variates, sample_terminal, terminal_partials
+from .gbm import GbmParams, _terminal_with_partials, normal_variates, sample_terminal
 from .network import FirmNetwork, _ArrayEq
 from .sensitivity import _portfolio_weights, dxda_batch
 
@@ -191,7 +191,10 @@ def _at_draw(exc: ConvergenceError, start: int) -> ConvergenceError:
 def _mc_chunk(net, gbm, cfg, seed, draws, want_greeks, weights, start):
     # the chunk of the draws-draw run that begins at draw start
     z = normal_variates(seed, min(_chunk_size(gbm.n), draws - start), gbm.n, start=start)
-    a_T = sample_terminal(gbm, z)
+    if want_greeks:
+        a_T, (da_t, dsigma, dr, dtau) = _terminal_with_partials(gbm, z)
+    else:
+        a_T = sample_terminal(gbm, z)
     try:
         sol = solve_claims_batch(net, a_T, cfg)
     except ConvergenceError as exc:
@@ -207,7 +210,6 @@ def _mc_chunk(net, gbm, cfg, seed, draws, want_greeks, weights, start):
     if want_greeks:
         # (k, n, B), the C-contiguous array behind dxda_batch's (B, k, n) view
         dxda = dxda_batch(net, sol.xi, weights=weights).transpose(1, 2, 0)
-        da_t, dsigma, dr, dtau = (p.T.copy() for p in terminal_partials(gbm, z, a_T))
         delta = dxda * (disc * da_t)
         vega = dxda * (disc * dsigma)
         out["delta"] = delta

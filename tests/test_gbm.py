@@ -10,9 +10,9 @@ from netgreeks.gbm import (
     _EXP_M2,
     GbmParams,
     _ndtri,
+    _terminal_with_partials,
     normal_variates,
     sample_terminal,
-    terminal_partials,
 )
 
 
@@ -199,9 +199,8 @@ def test_correlated_draws_have_target_correlation():
 
 def test_partials_closed_form_values():
     p = _params(n=1, r=0.0, tau=1.0, sigma=0.4)
-    z = np.zeros(1)
-    a_T = sample_terminal(p, z)
-    da_t, _, dr, _ = terminal_partials(p, z, a_T)
+    z = np.zeros((1, 1))
+    a_T, (da_t, _, dr, _) = _terminal_with_partials(p, z)
     np.testing.assert_allclose(da_t, np.exp(-0.08), rtol=1e-12)
     np.testing.assert_allclose(dr, a_T * p.tau, rtol=1e-15)
 
@@ -211,7 +210,11 @@ def test_partials_match_finite_differences():
     base = GbmParams(a_t=[1.1, 0.9], sigma=[0.35, 0.5], r=0.02, tau=1.4,
                      corr=corr)
     z = normal_variates(17, 50, 2)
-    da_t, dsigma, dr, dtau = terminal_partials(base, z, sample_terminal(base, z))
+    a_T0, partials = _terminal_with_partials(base, z)
+    # one product z L^T serves both: A_T bit for bit, the partials draw-last
+    np.testing.assert_array_equal(a_T0, sample_terminal(base, z))
+    assert all(p.shape == (2, 50) and p.flags.c_contiguous for p in partials)
+    da_t, dsigma, dr, dtau = (p.T for p in partials)
 
     def a_T(a_t=base.a_t, sigma=base.sigma, r=base.r, tau=base.tau):
         p = GbmParams(a_t=a_t, sigma=sigma, r=r, tau=tau, corr=corr)

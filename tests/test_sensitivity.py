@@ -97,13 +97,17 @@ def test_sensitivity_matches_finite_differences():
 
 
 def test_dxda_batch_matches_single():
+    # at n = 10 most live blocks have |J| >= 8, so the two-portfolio
+    # weights solve them by sweeps
     rng = np.random.default_rng(16)
-    net = random_network(rng, 5)
-    xi_batch = (rng.random((12, 5)) < 0.5).astype(float)
-    batch = dxda_batch(net, xi_batch)
-    for i in range(12):
-        single = dxda_at(net, xi_batch[i])
-        np.testing.assert_allclose(batch[i], single, atol=1e-12)
+    for n, cap in ((5, 0.9), (10, 0.5)):
+        net = random_network(rng, n, cap=cap)
+        xi_batch = (rng.random((12, n)) < 0.5).astype(float)
+        for weights in (None, _block_average(n)):
+            batch = dxda_batch(net, xi_batch, weights=weights)
+            for i in range(12):
+                single = dxda_at(net, xi_batch[i], weights=weights)
+                np.testing.assert_allclose(batch[i], single, atol=1e-12)
 
 
 def test_dxda_batch_rejects_malformed_solvency_batches():
@@ -352,6 +356,16 @@ def test_weighted_dxda_batch_rejects_bad_weights():
     for bad in (np.ones(6), np.ones((2, 5)), np.ones((1, 2, 6))):
         with pytest.raises(ValueError, match="weights"):
             dxda_batch(net, np.ones((2, 3)), weights=bad)
+    # a weight that is not finite is named, here and in mc_greeks
+    gbm = ng.GbmParams(a_t=np.ones(3), sigma=np.full(3, 0.4), r=0.0, tau=1.0, corr=np.eye(3))
+    for value in (np.nan, np.inf, -np.inf):
+        bad = np.ones((2, 6))
+        bad[1, 4] = value
+        problem = f"weights must be finite, got {value} at row 1, column 4"
+        with pytest.raises(ValueError, match=problem):
+            dxda_batch(net, [[1, 0, 1]], weights=bad)
+        with pytest.raises(ValueError, match=problem):
+            ng.mc_greeks(net, gbm, 16, 1, weights=bad)
 
 
 # --- the reduced, pattern-deduplicated solve against the 2n x 2n oracle ---------
@@ -521,3 +535,129 @@ def test_distinct_patterns_match_sorted_void_keys(n, rows, batch, seed):
     np.testing.assert_array_equal(solvent, want_solvent)
     np.testing.assert_array_equal(inverse, want_inverse)
     assert len(solvent) == len({row.tobytes() for row in xi})
+
+
+# --- the two strategies of the adjoint kernel: sweeps and stacked LU --------
+
+def _solve_both_ways(monkeypatch, net, xi_batch, weights):
+    """dx*/da with every wide block swept, whatever k, and with every block
+    factored; and how many patterns the sweeps settled."""
+    import netgreeks.sensitivity as sens
+
+    settled = []
+    real = sens._sweep_solve
+
+    def spy(net, solvent, y, pending):
+        moving = real(net, solvent, y, pending)
+        settled.append(len(pending) - len(moving))
+        return moving
+
+    with monkeypatch.context() as m:
+        m.setattr(sens, "_SWEEP_MAX_RHS", 10**9)
+        m.setattr(sens, "_sweep_solve", spy)
+        swept = dxda_batch(net, xi_batch, weights=weights)
+    with monkeypatch.context() as m:
+        m.setattr(sens, "_SWEEP_MIN", 10**9)
+        factored = dxda_batch(net, xi_batch, weights=weights)
+    return swept, factored, sum(settled)
+
+
+def test_swept_blocks_match_the_lu_solve(monkeypatch):
+    # debt-only ER networks at n = 30 and 60, and networks with equity
+    # holdings whose live blocks have |J| >= 8, weighted and not
+    rng = np.random.default_rng(91)
+    nets = [ng.er_network(30, 2.0, 0.6, seed=1), ng.er_network(60, 3.0, 0.4, seed=2)]
+    nets += [random_network(rng, int(rng.integers(10, 16)), cap=0.5) for _ in range(4)]
+    worst = 0.0
+    for net in nets:
+        n = net.n
+        xi_batch = (rng.random((40, n)) < rng.uniform(0.1, 0.5)).astype(float)
+        xi_batch[0] = 0.0
+        for weights in (None, _block_average(n), rng.uniform(-1.0, 1.0, size=(3, 2 * n))):
+            swept, factored, settled = _solve_both_ways(monkeypatch, net, xi_batch, weights)
+            assert settled > 0
+            worst = max(worst, np.abs(swept - factored).max() / np.abs(factored).max())
+    assert worst <= 1e-13, worst
+
+
+def test_sweeps_take_wide_blocks_of_few_right_hand_sides(monkeypatch):
+    # |J| >= 8 with k <= 4 portfolios goes to the sweeps, everything else to
+    # the LU; without weights (k = 2n) every block is factored
+    import netgreeks.sensitivity as sens
+
+    net = ng.er_network(30, 3.0, 0.6, seed=3)
+    xi_batch = (np.random.default_rng(92).random((50, 30)) < 0.4).astype(float)
+    solvent, _ = sens._distinct_patterns(xi_batch == 1.0)
+    size = sens._live(net, solvent).sum(axis=1)
+    swept, factored = [], []
+    real_sweep, real_factor = sens._sweep_solve, sens._factor_solve
+
+    def sweep(net, solvent, y, pending):
+        swept.extend(pending.tolist())
+        return real_sweep(net, solvent, y, pending)
+
+    def factor(net, solvent, live, y, patterns):
+        factored.extend(patterns.tolist())
+        return real_factor(net, solvent, live, y, patterns)
+
+    monkeypatch.setattr(sens, "_sweep_solve", sweep)
+    monkeypatch.setattr(sens, "_factor_solve", factor)
+    dxda_batch(net, xi_batch, weights=_block_average(30))
+    assert swept == np.flatnonzero(size >= 8).tolist()
+    assert factored == np.flatnonzero((size > 0) & (size < 8)).tolist()
+    swept.clear()
+    factored.clear()
+    dxda_batch(net, xi_batch)
+    assert swept == [] and factored == np.flatnonzero(size > 0).tolist()
+
+
+def test_block_still_moving_after_the_sweep_cap_goes_to_the_lu(monkeypatch):
+    # a ring of eight firms, each holding 0.95 of the next one's debt: the
+    # sweeps contract by 0.95 a round and still move after 64 of them
+    import netgreeks.sensitivity as sens
+
+    n = 8
+    m_d = 0.95 * np.roll(np.eye(n), 1, axis=0)
+    net = ng.FirmNetwork(m_s=np.zeros((n, n)), m_d=m_d, d=np.ones(n))
+    moving, blocks = [], []
+    real_sweep, real_solve = sens._sweep_solve, sens._solve
+
+    def sweep(net, solvent, y, pending):
+        still = real_sweep(net, solvent, y, pending)
+        moving.append(still.tolist())
+        return still
+
+    def solve(lhs, rhs):
+        blocks.append(lhs.shape)
+        return real_solve(lhs, rhs)
+
+    monkeypatch.setattr(sens, "_sweep_solve", sweep)
+    monkeypatch.setattr(sens, "_solve", solve)
+    xi_batch = np.array([[0.0] * n, [1.0] * 4 + [0.0] * 4, [0.0] * n])
+    W = _block_average(n)
+    got = dxda_batch(net, xi_batch, weights=W)
+    # pattern 0 is all insolvent (|J| = 8); pattern 1 has |J| = 4
+    assert moving == [[0]]
+    assert sorted(blocks) == [(1, 4, 4), (1, 8, 8)]
+    for b, xi in enumerate(xi_batch):
+        want = W @ _oracle(net, xi)
+        assert np.abs(got[b] - want).max() <= 1e-13 * np.abs(want).max()
+
+
+class _SingularRing:
+    # an upstream admissibility violation with a wide block: eight firms,
+    # each holding all of the next one's debt, make A(xi) = I - m_d exactly
+    # singular when every firm is insolvent
+    n = 8
+    m_s = np.zeros((8, 8))
+    m_d = np.roll(np.eye(8), 1, axis=0)
+    d = np.ones(8)
+
+
+def test_singular_wide_block_raises_through_the_sweeps():
+    # the sweeps never repeat on a singular block with a nonzero right-hand
+    # side, so it reaches the LU, which names the pattern and its live firms
+    problem = r"pattern 00000000 \(live firms \[0, 1, 2, 3, 4, 5, 6, 7\]\)"
+    for weights in (None, _block_average(8), np.ones((1, 16))):
+        with pytest.raises(ng.SensitivityError, match=problem):
+            dxda_batch(_SingularRing(), np.zeros((2, 8)), weights=weights)
