@@ -6,7 +6,7 @@ from .gbm import GbmParams, normal_variates, sample_terminal
 from .local import (LocalValuationState, independent_default_delta,
                     local_delta, local_fixed_point, marginal_contagion)
 from .mc import GreekReport, PriceResult, mc_greeks, price_claims
-from .netgen import SinkhornError, er_network, sinkhorn_balance
+from .netgen import er_network
 from .network import (ClaimVector, FirmNetwork, NetworkError, ValidationReport,
                       load_network, symmetric_network, validate_network)
 from .sensitivity import SensitivityError

@@ -18,7 +18,6 @@ import sys
 
 from .experiments import KINDS, ConfigError, ExperimentConfig, run_experiment
 from .fixpoint import ConvergenceError
-from .netgen import SinkhornError
 from .sensitivity import SensitivityError
 
 __all__ = ["main"]
@@ -57,7 +56,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ConvergenceError, SensitivityError, SinkhornError) as exc:
+    except (ConvergenceError, SensitivityError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3
     if cfg.kind == "validate":

@@ -27,7 +27,7 @@ from .local import (_checked_firm_vol, independent_default_delta, local_delta,
 from .mc import (_at_draw, _chunk_size, _ordered_map, _RunningStat, _tree_merge, mc_greeks,
                  price_claims)
 from .netgen import er_network
-from .network import FirmNetwork, load_network, symmetric_network, validate_network
+from .network import FirmNetwork, _read_network, load_network, symmetric_network, validate_network
 from .sensitivity import dxda_batch
 from .symmetric import (SymmetricParams, symmetric_expost, symmetric_greeks,
                         symmetric_pi, symmetric_price)
@@ -126,7 +126,6 @@ class ExperimentConfig:
     a_t: tuple[float, ...] | None = None
     corr: list | None = None
     firm_vol: tuple[float, ...] | None = None
-    sinkhorn: bool = False
     tol: float = 1e-12
     max_iter: int = 10_000
 
@@ -143,8 +142,7 @@ class ExperimentConfig:
     OPTIONAL = {
         "symmetric-grid": ("out", "d", "r", "tau"),
         "two-firm": ("out", "seed", "draws", "r", "tau", "tol", "max_iter"),
-        "er-sweep": ("out", "seed", "draws", "threads", "d", "r", "tau", "sinkhorn", "tol",
-                     "max_iter"),
+        "er-sweep": ("out", "seed", "draws", "threads", "d", "r", "tau", "tol", "max_iter"),
         "price": ("out", "seed", "draws", "threads", "r", "tau", "corr", "tol", "max_iter"),
         "greeks": ("out", "seed", "draws", "threads", "r", "tau", "corr", "tol", "max_iter"),
         "local-compare": ("out", "seed", "draws", "r", "tau", "corr", "tol", "max_iter"),
@@ -166,6 +164,8 @@ class ExperimentConfig:
             raise ConfigError("draws must be at least 2")
         if self.threads < 1:
             raise ConfigError("threads must be at least 1")
+        if not 0 <= self.seed < 2**128:
+            raise ConfigError("seed must lie in [0, 2**128)")
         if self.networks < 1:
             raise ConfigError("networks must be at least 1")
         for key in self.SINGLE.get(self.kind, ()):
@@ -196,8 +196,7 @@ class ExperimentConfig:
         kwargs = {"kind": cfg_kind}
         simple = {"out": str, "network": str, "seed": int, "draws": int,
                   "threads": int, "networks": int, "n": int, "d": float,
-                  "r": float, "tau": float, "sinkhorn": bool, "tol": float,
-                  "max_iter": int}
+                  "r": float, "tau": float, "tol": float, "max_iter": int}
         try:
             for key, value in obj.items():
                 if key in cls.GRID:
@@ -366,7 +365,7 @@ def run_er_sweep(cfg: ExperimentConfig, out=None) -> list[list]:
         for wi, w_d in enumerate(cfg.w_d):
             with _config_errors("network"):
                 nets = [er_network(cfg.n, k_mean, w_d, seed=_task_seed(cfg.seed, 0, ki, wi, m),
-                                   d=cfg.d, sinkhorn=cfg.sinkhorn) for m in range(cfg.networks)]
+                                   d=cfg.d) for m in range(cfg.networks)]
             tasks = [(net, gbm, _task_seed(cfg.seed, 1, ki, wi, ai, m))
                      for ai, gbm in enumerate(gbms) for m, net in enumerate(nets)]
             results = _ordered_map(member, tasks, cfg.threads)
@@ -398,9 +397,10 @@ def run_er_sweep(cfg: ExperimentConfig, out=None) -> list[list]:
 # ---------------------------------------------------------------------------
 # pricing and Greeks for a network from file
 
-def _load_net(cfg: ExperimentConfig) -> FirmNetwork:
+def _load_net(cfg: ExperimentConfig, load=load_network):
+    """load(cfg.network), with a file it cannot read or accept as a ConfigError."""
     try:
-        return load_network(cfg.network)
+        return load(cfg.network)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot load network {cfg.network}: {exc}") from exc
 
@@ -487,13 +487,7 @@ def run_local_compare(cfg: ExperimentConfig, out=None) -> list[list]:
 # validation
 
 def run_validate(cfg: ExperimentConfig, out=None) -> bool:
-    try:
-        with open(cfg.network) as fh:
-            obj = json.load(fh)
-        m_s, m_d, d = obj["m_s"], obj["m_d"], obj["d"]
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
-        raise ConfigError(f"cannot read network {cfg.network}: {exc}") from exc
-    report = validate_network(m_s, m_d, d)
+    report = validate_network(*_load_net(cfg, _read_network))
     lines = [f"network: {cfg.network}"]
     for name in ("shapes_consistent", "no_self_holdings", "no_short_positions",
                  "sub_stochastic_columns", "strict_external_holding",

@@ -206,8 +206,9 @@ def _mc_chunk(net, gbm, cfg, seed, draws, want_greeks, weights, start):
         x = weights @ x
     disc = np.exp(-gbm.r * gbm.tau)
 
-    out = {"price": disc * x, "solvent": sol.xi.T}
+    out = {"price": disc * x}
     if want_greeks:
+        out["solvent"] = sol.xi.T
         # (k, n, B), the C-contiguous array behind dxda_batch's (B, k, n) view
         dxda = dxda_batch(net, sol.xi, weights=weights).transpose(1, 2, 0)
         delta = dxda * (disc * da_t)

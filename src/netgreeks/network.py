@@ -239,15 +239,26 @@ def symmetric_network(n: int, w_s: float, w_d: float, d: float = 1.0) -> FirmNet
                        d=np.full(n, float(d)))
 
 
-def load_network(path) -> FirmNetwork:
-    """Read a network from a JSON file with keys n, m_s, m_d, d."""
+def _read_network(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """m_s, m_d and d of a JSON network file; NetworkError names a key that is
+    missing or malformed.  Admissibility is left to validate_network.
+    """
     with open(path) as fh:
         obj = json.load(fh)
-    try:
-        n = int(obj["n"])
-        net = FirmNetwork(m_s=obj["m_s"], m_d=obj["m_d"], d=obj["d"])
-    except KeyError as exc:
-        raise NetworkError(f"network file {path} missing key {exc}") from exc
-    if net.n != n:
-        raise NetworkError(f"network file {path}: n={n} does not match matrix size {net.n}")
-    return net
+    n = obj.get("n") if isinstance(obj, dict) else None
+    if type(n) is not int:
+        raise NetworkError(f"network file {path}: 'n' must be an integer, got {n!r}")
+    arrays = []
+    for key, shape in (("m_s", (n, n)), ("m_d", (n, n)), ("d", (n,))):
+        try:
+            arrays.append(np.array(obj[key], dtype=float))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise NetworkError(f"network file {path}: {key!r} missing or not numeric") from exc
+        if arrays[-1].shape != shape or not np.all(np.isfinite(arrays[-1])):
+            raise NetworkError(f"network file {path}: {key!r} needs finite entries, shape {shape}")
+    return tuple(arrays)
+
+
+def load_network(path) -> FirmNetwork:
+    """Read an admissible network from a JSON file with keys n, m_s, m_d, d."""
+    return FirmNetwork(*_read_network(path))

@@ -71,6 +71,7 @@ def test_validate_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
     bad_net = _write(tmp_path, "bad_net.json", {
+        "n": 2,
         "m_s": [[0.5, 0.0], [0.0, 0.0]],  # self-holding on the diagonal
         "m_d": [[0.0, 0.0], [0.0, 0.0]],
         "d": [1.0, 1.0],
@@ -79,6 +80,34 @@ def test_validate_exit_codes(tmp_path, capsys):
                  {"kind": "validate", "network": bad_net})
     assert main(["validate", "--config", cfg]) == 1
     assert "FAILED" in capsys.readouterr().out
+
+
+GOOD_NET = {"n": 2, "m_s": [[0.0, 0.1], [0.2, 0.0]], "m_d": [[0.0, 0.3], [0.1, 0.0]],
+            "d": [1.0, 1.0]}
+
+
+@pytest.mark.parametrize("key,bad", [
+    ("d", None),                       # missing
+    ("m_s", {"n": 5}),                 # n does not match the 2x2 matrices
+    ("m_d", {"m_d": [[0.0, "x"], [0.1, 0.0]]}),
+    ("m_s", {"m_s": [[0.0, 0.1], [0.2]]}),  # ragged
+    ("m_s", {"m_s": [[0.0, float("nan")], [0.2, 0.0]]}),
+    ("d", {"d": [1.0, float("inf")]}),
+    ("n", {"n": "2"}),
+])
+@pytest.mark.parametrize("kind", ["validate", "greeks"])
+def test_malformed_network_file_is_config_error(tmp_path, capsys, kind, key, bad):
+    # every kind reads a network file the same way: a missing key, an n
+    # mismatch or a non-numeric, ragged or non-finite entry exits 2 naming
+    # the key, before any admissibility check
+    doc = {k: v for k, v in GOOD_NET.items() if k != key} if bad is None else {**GOOD_NET, **bad}
+    net_path = tmp_path / "net.json"
+    net_path.write_text(json.dumps(doc))
+    cfg = _write(tmp_path, "cfg.json", {"kind": kind, **SMALL[kind], "network": str(net_path)})
+    assert main([kind, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    captured = capsys.readouterr()
+    assert "config error" in captured.err and repr(key) in captured.err
+    assert "OK" not in captured.out
 
 
 def test_closed_holding_ring_is_rejected_at_the_boundary(tmp_path, capsys):
@@ -383,6 +412,7 @@ def test_unknown_subcommand_fails():
     ("local-compare", {"d": 2.0}),
     ("local-compare", {"threads": 2}),
     ("validate", {"seed": 1}),
+    ("er-sweep", {"sinkhorn": True}),  # the removed Sinkhorn ensemble
 ])
 def test_unread_config_key_is_config_error(tmp_path, capsys, kind, extra):
     cfg = _write(tmp_path, "cfg.json", {"kind": kind, **SMALL[kind], **extra})
@@ -421,4 +451,15 @@ def test_out_of_range_flag_is_config_error(tmp_path, capsys, flag, value, messag
     out = tmp_path / "o.csv"
     assert main(["er-sweep", "--config", cfg, "--out", str(out), flag, value]) == 2
     assert f"config error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**128)])
+@pytest.mark.parametrize("kind", [k for k in SMALL if "seed" in ExperimentConfig.OPTIONAL[k]])
+def test_seed_out_of_range_is_config_error(tmp_path, capsys, kind, seed):
+    # Philox keys and SeedSequence entropy take seeds in [0, 2**128)
+    cfg = _write(tmp_path, "cfg.json", {"kind": kind, **SMALL[kind]})
+    out = tmp_path / "o"
+    assert main([kind, "--config", cfg, "--out", str(out), "--seed", seed]) == 2
+    assert "config error: seed must lie in" in capsys.readouterr().err
     assert not out.exists()

@@ -119,6 +119,24 @@ def test_shipped_configs_parse():
         assert cfg.kind in ExperimentConfig.REQUIRED
 
 
+def test_readme_config_table_lists_the_keys_each_kind_reads():
+    # the "Config files" table: one row per group of kinds, then the
+    # required and the optional keys in the order the code lists them
+    readme = (CONFIGS.parent / "README.md").read_text()
+    section = readme.split("### Config files", 1)[1].split("\n#", 1)[0]
+    table = {}
+    for line in section.splitlines():
+        cells = line.split("|")[1:-1]
+        if len(cells) == 3 and "`" in cells[0]:
+            kinds, required, optional = (re.findall(r"`([^`]+)`", cell) for cell in cells)
+            for kind in kinds:
+                assert kind not in table, kind
+                table[kind] = (required, optional)
+    assert table == {kind: (list(ExperimentConfig.REQUIRED[kind]),
+                            list(ExperimentConfig.OPTIONAL[kind]))
+                     for kind in ExperimentConfig.REQUIRED}
+
+
 def test_write_csv_formatting(tmp_path):
     path = tmp_path / "t.csv"
     write_csv(path, ["a", "b", "c"], [[True, 7, 0.1]])

@@ -1,12 +1,11 @@
-"""Random debt-network generation and Sinkhorn balancing."""
+"""Random debt-network generation."""
 
 import numpy as np
 import pytest
 
 from netgreeks.experiments import _task_seed
-from netgreeks.netgen import SinkhornError, er_network, sinkhorn_balance
+from netgreeks.netgen import er_network
 from netgreeks.network import validate_network
-import netgreeks as ng
 
 
 def test_spec_validation():
@@ -99,60 +98,3 @@ def test_member_seed_stability():
     assert _task_seed(0, 3) == _task_seed(0, 3)
     seeds = {_task_seed(7, i) for i in range(100)}
     assert len(seeds) == 100
-
-
-# --- Sinkhorn ------------------------------------------------------------------
-
-def test_sinkhorn_dense_positive():
-    m = np.array([[0.2, 0.8], [0.5, 0.1]])
-    out = sinkhorn_balance(m, 0.5, 0.5)
-    np.testing.assert_allclose(out.sum(axis=1), 0.5, atol=1e-9)
-    np.testing.assert_allclose(out.sum(axis=0), 0.5, atol=1e-9)
-
-
-def test_sinkhorn_balanced_input_unchanged():
-    m = ng.symmetric_network(3, 0.0, 0.6).m_d
-    out = sinkhorn_balance(m, 0.6, 0.6)
-    np.testing.assert_allclose(out, m, atol=1e-12)
-
-
-def test_sinkhorn_idempotent_and_pattern_preserving():
-    rng = np.random.default_rng(1)
-    m = rng.random((5, 5)) * (rng.random((5, 5)) < 0.7)
-    np.fill_diagonal(m, 0.0)
-    out = sinkhorn_balance(m, 0.5, 0.5)
-    np.testing.assert_array_equal(out == 0.0, m == 0.0)
-    again = sinkhorn_balance(out, 0.5, 0.5)
-    np.testing.assert_allclose(again, out, atol=1e-9)
-
-
-def test_sinkhorn_skips_empty_rows_and_columns():
-    m = np.array([[0.0, 0.0], [0.7, 0.0]])
-    out = sinkhorn_balance(m, 0.5, 0.5)
-    assert out[1, 0] == pytest.approx(0.5)
-    assert np.all(out[0] == 0.0)
-
-
-def test_sinkhorn_infeasible_support_fails():
-    # support without total support: the (0,1) entry must vanish for the
-    # marginals to hold, so the scaling only converges at rate 1/k and the
-    # iteration cap signals infeasibility
-    m = np.array([[1.0, 1.0], [0.0, 1.0]])
-    with pytest.raises(SinkhornError):
-        sinkhorn_balance(m, 0.5, 0.5, max_iter=2000)
-
-
-def test_sinkhorn_rejects_negative_entries():
-    with pytest.raises(ValueError):
-        sinkhorn_balance(np.array([[0.1, -0.2], [0.3, 0.4]]), 0.5, 0.5)
-
-
-def test_er_network_sinkhorn_mode():
-    net = er_network(6, 5.0, 0.6, seed=12, sinkhorn=True)
-    rows = net.m_d.sum(axis=1)
-    cols = net.m_d.sum(axis=0)
-    live_r = rows > 0
-    live_c = cols > 0
-    np.testing.assert_allclose(rows[live_r], 0.6, atol=1e-8)
-    np.testing.assert_allclose(cols[live_c], 0.6, atol=1e-8)
-    assert np.all(np.diag(net.m_d) == 0.0)
