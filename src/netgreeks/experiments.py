@@ -13,7 +13,7 @@ import json
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from functools import partial
 from itertools import product
 from pathlib import Path
@@ -29,7 +29,7 @@ from .mc import (_at_draw, _chunk_size, _ordered_map, _RunningStat, _tree_merge,
 from .netgen import er_network
 from .network import FirmNetwork, _read_network, load_network, symmetric_network, validate_network
 from .sensitivity import dxda_batch
-from .symmetric import (SymmetricParams, symmetric_expost, symmetric_greeks,
+from .symmetric import (SymmetricGreeks, SymmetricParams, symmetric_expost, symmetric_greeks,
                         symmetric_pi, symmetric_price)
 
 __all__ = [
@@ -81,22 +81,26 @@ def write_csv(path, header: list[str], rows) -> None:
         raise
 
 
+def _typed(value, kind: type, key: str):
+    """value as kind (int, float or str); float also takes an integer, and no kind a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+        raise ConfigError(f"{key}: expected {kind.__name__}, got {value!r}")
+    return kind(value)
+
+
 def _grid(obj, key) -> tuple[float, ...]:
-    """Accept a list of values or {start, stop, step} (stop inclusive)."""
-    if isinstance(obj, (int, float)):
-        return (float(obj),)
-    if isinstance(obj, (list, tuple)):
-        return tuple(float(v) for v in obj)
+    """Accept a number, a list of numbers or {start, stop, step} (stop inclusive)."""
     if isinstance(obj, dict):
         try:
-            start, stop, step = float(obj["start"]), float(obj["stop"]), float(obj["step"])
+            start, stop, step = (_typed(obj[k], float, key) for k in ("start", "stop", "step"))
         except KeyError as exc:
             raise ConfigError(f"{key}: grid spec needs start/stop/step, missing {exc}") from exc
         if step <= 0 or stop < start:
             raise ConfigError(f"{key}: need step > 0 and stop >= start")
-        count = int(round((stop - start) / step)) + 1
+        # no value past stop, up to a 1e-9 step of rounding: 0.1..2.5 by 0.1 has 25 values
+        count = int((stop - start) / step + 1e-9) + 1
         return tuple(start + i * step for i in range(count))
-    raise ConfigError(f"{key}: expected number, list or start/stop/step mapping")
+    return tuple(_typed(v, float, key) for v in (obj if isinstance(obj, list) else [obj]))
 
 
 @dataclass
@@ -171,6 +175,9 @@ class ExperimentConfig:
         for key in self.SINGLE.get(self.kind, ()):
             if len(getattr(self, key)) != 1:
                 raise ConfigError(f"{self.kind}: {key} takes exactly one value")
+        for key in self.REQUIRED.get(self.kind, ()):
+            if key in self.GRID and not getattr(self, key):
+                raise ConfigError(f"{key}: empty grid")
 
     @classmethod
     def from_dict(cls, obj: dict, kind: str | None = None) -> "ExperimentConfig":
@@ -204,8 +211,8 @@ class ExperimentConfig:
                 elif key == "corr":
                     kwargs[key] = value
                 else:
-                    kwargs[key] = simple[key](value)
-        except (TypeError, ValueError) as exc:
+                    kwargs[key] = _typed(value, simple[key], key)
+        except (TypeError, ValueError, OverflowError) as exc:
             if isinstance(exc, ConfigError):
                 raise
             raise ConfigError(f"bad value for {key!r}: {exc}") from exc
@@ -269,8 +276,7 @@ def _solved_chunks(cfg: ExperimentConfig, net: FirmNetwork, gbm: GbmParams):
 SYMMETRIC_GRID_HEADER = [
     "a0", "w_s", "w_d", "sigma", "d", "r", "tau",
     "s_star", "r_star", "xi",
-    "s_t", "r_t", "delta_s", "delta_r", "vega_s", "vega_r",
-    "theta_s", "theta_r", "rho_s", "rho_r", "pi",
+    "s_t", "r_t", *(f.name for f in fields(SymmetricGreeks)), "pi",
 ]
 
 
@@ -283,12 +289,9 @@ def run_symmetric_grid(cfg: ExperimentConfig, out=None) -> list[list]:
                                 r=cfg.r, tau=cfg.tau)
         s_star, r_star, xi = symmetric_expost(a0, p)
         s_t, r_t = symmetric_price(p)
-        g = symmetric_greeks(p)
         rows.append([a0, w_s, w_d, sigma, cfg.d, cfg.r, cfg.tau,
                      s_star, r_star, xi, s_t, r_t,
-                     g.delta_s, g.delta_r, g.vega_s, g.vega_r,
-                     g.theta_s, g.theta_r, g.rho_s, g.rho_r,
-                     symmetric_pi(p)])
+                     *astuple(symmetric_greeks(p)), symmetric_pi(p)])
     if out is not None:
         write_csv(out, SYMMETRIC_GRID_HEADER, rows)
     return rows
@@ -405,25 +408,21 @@ def _load_net(cfg: ExperimentConfig, load=load_network):
         raise ConfigError(f"cannot load network {cfg.network}: {exc}") from exc
 
 
-def run_price(cfg: ExperimentConfig, out=None) -> dict:
+def _run_estimate(estimate, cfg: ExperimentConfig, out) -> dict:
     net = _load_net(cfg)
-    res = price_claims(net, _gbm_from_config(cfg, net.n, cfg.a_t), cfg.draws, cfg.seed,
-                       cfg=cfg.fixed_point_config(), threads=cfg.threads)
-    payload = res.to_dict()
-    payload["n"] = net.n
+    payload = estimate(net, _gbm_from_config(cfg, net.n, cfg.a_t), cfg.draws, cfg.seed,
+                       cfg=cfg.fixed_point_config(), threads=cfg.threads).to_dict()
     if out is not None:
         Path(out).write_text(json.dumps(payload, indent=2) + "\n")
     return payload
+
+
+def run_price(cfg: ExperimentConfig, out=None) -> dict:
+    return _run_estimate(price_claims, cfg, out)
 
 
 def run_greeks(cfg: ExperimentConfig, out=None) -> dict:
-    net = _load_net(cfg)
-    rep = mc_greeks(net, _gbm_from_config(cfg, net.n, cfg.a_t), cfg.draws, cfg.seed,
-                    cfg=cfg.fixed_point_config(), threads=cfg.threads)
-    payload = rep.to_dict()
-    if out is not None:
-        Path(out).write_text(json.dumps(payload, indent=2) + "\n")
-    return payload
+    return _run_estimate(mc_greeks, cfg, out)
 
 
 # ---------------------------------------------------------------------------
@@ -489,10 +488,8 @@ def run_local_compare(cfg: ExperimentConfig, out=None) -> list[list]:
 def run_validate(cfg: ExperimentConfig, out=None) -> bool:
     report = validate_network(*_load_net(cfg, _read_network))
     lines = [f"network: {cfg.network}"]
-    for name in ("shapes_consistent", "no_self_holdings", "no_short_positions",
-                 "sub_stochastic_columns", "strict_external_holding",
-                 "positive_debt", "unique_fixed_point", "strict_all_columns"):
-        lines.append(f"  {name}: {getattr(report, name)}")
+    lines += [f"  {f.name}: {getattr(report, f.name)}" for f in fields(report)
+              if f.name != "failures"]
     lines.append("OK" if report.ok else "FAILED: " + "; ".join(report.failures))
     text = "\n".join(lines)
     print(text)

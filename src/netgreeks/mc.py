@@ -19,8 +19,9 @@ so results are bit-identical for any thread count.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial
 
 import numpy as np
@@ -87,8 +88,10 @@ class _RunningStat:
 
 
 def _ordered_map(fn, tasks, threads: int) -> list:
-    if threads > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    # pool.map submits every task at once, which starts up to max_workers threads
+    workers = min(threads, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, tasks))
     return [fn(t) for t in tasks]
 
@@ -106,8 +109,15 @@ def _tree_merge(stats: list[_RunningStat]) -> _RunningStat:
     return stats[0]
 
 
+class _Report(_ArrayEq):
+    """A Monte Carlo result whose JSON is its fields in order, arrays as nested lists."""
+
+    def to_dict(self) -> dict:
+        return {f.name: np.asarray(getattr(self, f.name)).tolist() for f in fields(self)}
+
+
 @dataclass(eq=False)
-class PriceResult(_ArrayEq):
+class PriceResult(_Report):
     """Discounted claim prices, stacked (equity_1..n, debt_1..n)."""
 
     price: np.ndarray
@@ -115,19 +125,11 @@ class PriceResult(_ArrayEq):
     draws: int
     seed: int
     boundary_hits: int
-
-    def to_dict(self) -> dict:
-        return {
-            "price": self.price.tolist(),
-            "se": self.se.tolist(),
-            "draws": self.draws,
-            "seed": self.seed,
-            "boundary_hits": self.boundary_hits,
-        }
+    n: int
 
 
 @dataclass(eq=False)
-class GreekReport(_ArrayEq):
+class GreekReport(_Report):
     """Prices and Greeks with standard errors.
 
     Vectors over claims have length 2n (equity block then debt block).
@@ -148,6 +150,7 @@ class GreekReport(_ArrayEq):
     n: int
     draws: int
     seed: int
+    boundary_hits: int
     price: np.ndarray
     price_se: np.ndarray
     delta: np.ndarray
@@ -168,17 +171,6 @@ class GreekReport(_ArrayEq):
     vega_uniform_se: np.ndarray
     default_prob: np.ndarray
     default_prob_se: np.ndarray
-    boundary_hits: int
-
-    def to_dict(self) -> dict:
-        out = {"n": self.n, "draws": self.draws, "seed": self.seed,
-               "boundary_hits": self.boundary_hits}
-        for name in ("price", "delta", "vega", "theta", "rho", "pi",
-                     "delta_total", "delta_uniform", "vega_uniform",
-                     "default_prob"):
-            out[name] = getattr(self, name).tolist()
-            out[name + "_se"] = getattr(self, name + "_se").tolist()
-        return out
 
 
 def _at_draw(exc: ConvergenceError, start: int) -> ConvergenceError:
@@ -245,9 +237,8 @@ def price_claims(net: FirmNetwork, gbm: GbmParams, draws: int, seed: int,
     """Discounted claim prices by plain Monte Carlo."""
     stats, boundary = _run_chunks(net, gbm, draws, seed, cfg, want_greeks=False,
                                   threads=threads, weights=None)
-    price = stats["price"]
-    return PriceResult(price=price.mean, se=price.se, draws=draws, seed=seed,
-                       boundary_hits=boundary)
+    return PriceResult(price=stats["price"].mean, se=stats["price"].se, draws=draws, seed=seed,
+                       boundary_hits=boundary, n=net.n)
 
 
 def mc_greeks(net: FirmNetwork, gbm: GbmParams, draws: int, seed: int,
@@ -268,18 +259,10 @@ def mc_greeks(net: FirmNetwork, gbm: GbmParams, draws: int, seed: int,
         weights = _portfolio_weights(weights, net.n)
     stats, boundary = _run_chunks(net, gbm, draws, seed, cfg, want_greeks=True,
                                   threads=threads, weights=weights)
-    solvent = stats["solvent"]
-    return GreekReport(
-        n=net.n, draws=draws, seed=seed,
-        price=stats["price"].mean, price_se=stats["price"].se,
-        delta=stats["delta"].mean, delta_se=stats["delta"].se,
-        vega=stats["vega"].mean, vega_se=stats["vega"].se,
-        theta=stats["theta"].mean, theta_se=stats["theta"].se,
-        rho=stats["rho"].mean, rho_se=stats["rho"].se,
-        pi=stats["pi"].mean, pi_se=stats["pi"].se,
-        delta_total=stats["delta_total"].mean, delta_total_se=stats["delta_total"].se,
-        delta_uniform=stats["delta_uniform"].mean, delta_uniform_se=stats["delta_uniform"].se,
-        vega_uniform=stats["vega_uniform"].mean, vega_uniform_se=stats["vega_uniform"].se,
-        default_prob=1.0 - solvent.mean, default_prob_se=solvent.se,
-        boundary_hits=boundary,
-    )
+    # chunks average solvency flags; one minus the merged mean is the default probability
+    solvent = stats.pop("solvent")
+    stats["default_prob"] = _RunningStat(solvent.count, 1.0 - solvent.mean, solvent.m2)
+    estimates = {}
+    for name, stat in stats.items():
+        estimates[name], estimates[f"{name}_se"] = stat.mean, stat.se
+    return GreekReport(n=net.n, draws=draws, seed=seed, boundary_hits=boundary, **estimates)

@@ -82,6 +82,23 @@ def test_validate_exit_codes(tmp_path, capsys):
     assert "FAILED" in capsys.readouterr().out
 
 
+def test_validate_prints_every_check_of_the_report(monkeypatch, capsys):
+    monkeypatch.chdir(CONFIGS.parent)
+    assert main(["validate", "--config", "configs/validate_example.json"]) == 0
+    assert capsys.readouterr().out == (
+        "network: configs/example_network.json\n"
+        "  shapes_consistent: True\n"
+        "  no_self_holdings: True\n"
+        "  no_short_positions: True\n"
+        "  sub_stochastic_columns: True\n"
+        "  strict_external_holding: True\n"
+        "  positive_debt: True\n"
+        "  unique_fixed_point: True\n"
+        "  strict_all_columns: True\n"
+        "OK\n"
+    )
+
+
 GOOD_NET = {"n": 2, "m_s": [[0.0, 0.1], [0.2, 0.0]], "m_d": [[0.0, 0.3], [0.1, 0.0]],
             "d": [1.0, 1.0]}
 

@@ -56,6 +56,33 @@ def test_grid_rejects_bad_specs():
         _grid("0.4", "sigma")
 
 
+def test_grid_stays_inside_stop_and_is_never_empty():
+    # round() once gave (0.0, 0.6, 1.2), and an er-sweep k_mean grid {2, 3, 0.6}
+    # at n = 4 ran to k_mean 3.2, an edge probability above one
+    assert _grid({"start": 0, "stop": 1, "step": 0.6}, "k") == (0.0, 0.6)
+    assert _grid({"start": 2, "stop": 3, "step": 0.6}, "k") == (2.0, 2.6)
+    # (2.5 - 0.1) / 0.1 rounds below 24: the shipped a0 grid keeps all 25 values
+    a0 = _grid(json.loads((CONFIGS / "symmetric_grid.json").read_text())["a0"], "a0")
+    assert len(a0) == 25 and a0[-1] == pytest.approx(2.5)
+    sweep = {"kind": "er-sweep", "k_mean": 2.0, "w_d": 0.2, "a0": [], "sigma": 0.4,
+             "n": 4, "networks": 1}
+    grid = {"kind": "symmetric-grid", "a0": 1.0, "w_s": [], "w_d": 0.0, "sigma": 0.4}
+    for obj, key in ((sweep, "a0"), (grid, "w_s")):
+        with pytest.raises(ConfigError, match=f"{key}: empty grid"):
+            ExperimentConfig.from_dict(obj)
+
+
+@pytest.mark.parametrize("key,value", [
+    ("draws", 100.9), ("seed", 2.7), ("n", "7"), ("networks", True), ("threads", 2.5),
+    ("d", "1.5"), ("sigma", [True]), ("out", 1),
+])
+def test_config_values_are_checked_not_coerced(key, value):
+    sweep = {"kind": "er-sweep", "k_mean": 2.0, "w_d": 0.2, "a0": 1.0, "sigma": 0.4,
+             "n": 4, "networks": 1}
+    with pytest.raises(ConfigError, match=f"{key}: expected"):
+        ExperimentConfig.from_dict({**sweep, key: value})
+
+
 def test_from_dict_validates():
     good = {"kind": "symmetric-grid", "a0": 1.0, "w_s": 0.0, "w_d": 0.0,
             "sigma": 0.4}

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import netgreeks as ng
+import netgreeks.mc as mc
 from netgreeks.experiments import ExperimentConfig, run_local_compare
 from netgreeks.fixpoint import ConvergenceError, FixedPointConfig
 from netgreeks.gbm import GbmParams
@@ -151,6 +152,35 @@ def test_bit_reproducible_across_threads_and_runs():
     assert a.boundary_hits == b.boundary_hits
     d = mc_greeks(net, gbm, draws, seed=12)
     assert not np.array_equal(a.price, d.price)
+
+
+@pytest.mark.parametrize("threads,tasks,cpus,workers", [
+    (100_000, 3, 4, 3),     # no more workers than tasks
+    (100_000, 10, 4, 4),    # nor than CPUs
+    (2, 10, 4, 2),
+    (8, 10, None, None),    # an unknown CPU count runs serially
+    (8, 1, 4, None),
+])
+def test_thread_pool_is_capped_at_tasks_and_cpus(monkeypatch, threads, tasks, cpus, workers):
+    started = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(mc, "ThreadPoolExecutor", FakePool)
+    monkeypatch.setattr(mc.os, "cpu_count", lambda: cpus)
+    assert mc._ordered_map(lambda t: t * t, range(tasks), threads) == [t * t for t in range(tasks)]
+    assert started == ([] if workers is None else [workers])
 
 
 def test_price_claims_agrees_with_greek_report():
