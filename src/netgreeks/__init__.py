@@ -7,8 +7,8 @@ from .local import (LocalValuationState, independent_default_delta,
                     local_delta, local_fixed_point, marginal_contagion)
 from .mc import GreekReport, PriceResult, mc_greeks, price_claims
 from .netgen import er_network
-from .network import (ClaimVector, FirmNetwork, NetworkError, ValidationReport,
-                      load_network, symmetric_network, validate_network)
+from .network import (FirmNetwork, NetworkError, ValidationReport, load_network,
+                      symmetric_network, validate_network)
 from .sensitivity import SensitivityError
 from .symmetric import (SymmetricGreeks, SymmetricParams, symmetric_expost,
                         symmetric_greeks, symmetric_mc_inputs, symmetric_pi,

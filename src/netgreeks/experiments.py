@@ -28,7 +28,7 @@ from .mc import (_at_draw, _chunk_size, _ordered_map, _RunningStat, _tree_merge,
                  price_claims)
 from .netgen import er_network
 from .network import FirmNetwork, _read_network, load_network, symmetric_network, validate_network
-from .sensitivity import dxda_batch
+from .sensitivity import SensitivityError, dxda_batch
 from .symmetric import (SymmetricGreeks, SymmetricParams, symmetric_expost, symmetric_greeks,
                         symmetric_pi, symmetric_price)
 
@@ -339,15 +339,21 @@ ER_SWEEP_HEADER = [
 def _member_stats(task, draws, fp_cfg):
     """One ensemble member's statistics vector and boundary hits.
 
-    task is (network, asset model, seed).  The vector is (s_price, r_price,
-    default_prob, delta_s, delta_r, vega_s, vega_r, theta_s, theta_r, rho_s,
-    rho_r, pi), each a firm average.
+    task is (network, asset model, seed), optionally followed by a label
+    that a solver failure's message starts with.  The vector is (s_price,
+    r_price, default_prob, delta_s, delta_r, vega_s, vega_r, theta_s,
+    theta_r, rho_s, rho_r, pi), each a firm average.
     """
-    net, gbm, seed = task
+    net, gbm, seed, *label = task
     # one portfolio per block, the firm average of equity and of debt: the row
     # needs only these two rows of dx*/da, one transposed solve per pattern
-    rep = mc_greeks(net, gbm, draws, seed, cfg=fp_cfg,
-                    weights=np.kron(np.eye(2), np.full((1, net.n), 1.0 / net.n)))
+    try:
+        rep = mc_greeks(net, gbm, draws, seed, cfg=fp_cfg,
+                        weights=np.kron(np.eye(2), np.full((1, net.n), 1.0 / net.n)))
+    except ConvergenceError as exc:
+        raise ConvergenceError(" ".join([*label, str(exc)]), draw=exc.draw) from exc
+    except SensitivityError as exc:
+        raise SensitivityError(" ".join([*label, str(exc)])) from exc
     return np.array([*rep.price, rep.default_prob.mean(), *rep.delta.sum(axis=1),
                      *rep.vega.sum(axis=1), *rep.theta, *rep.rho, rep.pi.sum()]), rep.boundary_hits
 
@@ -369,8 +375,10 @@ def run_er_sweep(cfg: ExperimentConfig, out=None) -> list[list]:
             with _config_errors("network"):
                 nets = [er_network(cfg.n, k_mean, w_d, seed=_task_seed(cfg.seed, 0, ki, wi, m),
                                    d=cfg.d) for m in range(cfg.networks)]
-            tasks = [(net, gbm, _task_seed(cfg.seed, 1, ki, wi, ai, m))
-                     for ai, gbm in enumerate(gbms) for m, net in enumerate(nets)]
+            tasks = [(net, gbm, _task_seed(cfg.seed, 1, ki, wi, ai, m),
+                      f"cell k_mean={k_mean:g} w_d={w_d:g} a0={a0:g}, member {m}:")
+                     for ai, (a0, gbm) in enumerate(zip(cfg.a0, gbms))
+                     for m, net in enumerate(nets)]
             results = _ordered_map(member, tasks, cfg.threads)
             for ai, a0 in enumerate(cfg.a0):
                 cell = results[ai * cfg.networks:(ai + 1) * cfg.networks]
@@ -510,5 +518,12 @@ RUNNERS = {
 
 
 def run_experiment(cfg: ExperimentConfig, out=None):
-    """Dispatch to the runner for cfg.kind; out overrides cfg.out."""
-    return RUNNERS[cfg.kind](cfg, out=out if out is not None else cfg.out)
+    """Dispatch to the runner for cfg.kind; out overrides cfg.out.
+
+    An output path that is a directory, or whose directory does not exist,
+    is a ConfigError before the runner starts.
+    """
+    out = out if out is not None else cfg.out
+    if out is not None and (Path(out).is_dir() or not Path(out).parent.is_dir()):
+        raise ConfigError(f"out: {out} is a directory or its directory does not exist")
+    return RUNNERS[cfg.kind](cfg, out=out)

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import ClaimVector, FirmNetwork, _ArrayEq
+from .network import FirmNetwork, _ArrayEq
 from .sensitivity import _distinct_patterns, _forward_solve
 
 __all__ = [
@@ -74,15 +74,13 @@ DEFAULT_CONFIG = FixedPointConfig()
 class ConvergenceError(RuntimeError):
     """Picard did not reach tol within max_iter sweeps.
 
-    Carries the worst row's last iterate g(x), its residual, its batch row
-    as draw, and iterations = max_iter, the Picard sweeps spent.
+    The message states the sweeps, the worst row's residual, its unconverged
+    firms and its solvency pattern.  draw is that row of the batch, which
+    ``mc`` re-counts from the first draw of the run.
     """
 
-    def __init__(self, message, claims=None, residual=None, iterations=None, draw=None):
+    def __init__(self, message, draw=None):
         super().__init__(message)
-        self.claims = claims
-        self.residual = residual
-        self.iterations = iterations
         self.draw = draw
 
 
@@ -146,16 +144,12 @@ def _convergence_error(net, v, step, cfg, rows):
     resid = step.max(axis=0)
     worst = int(np.argmax(resid))
     draw = int(rows[worst])
-    v = v[:, worst]
     firms = np.flatnonzero(step[:, worst] > cfg.tol).tolist()
-    xi = "".join("1" if solvent else "0" for solvent in v > net.d)
+    xi = "".join("1" if solvent else "0" for solvent in v[:, worst] > net.d)
     return ConvergenceError(
         f"no convergence after {cfg.max_iter} iterations "
         f"(worst scenario {draw}, residual {resid[worst]:.3e}, "
         f"unconverged firms {firms}, solvency pattern xi={xi})",
-        claims=ClaimVector(s=np.maximum(0.0, v - net.d), r=np.minimum(net.d, v)),
-        residual=float(resid[worst]),
-        iterations=cfg.max_iter,
         draw=draw,
     )
 

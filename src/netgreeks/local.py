@@ -105,8 +105,7 @@ def local_fixed_point(net: FirmNetwork, a_t, r: float, tau: float, firm_vol,
         equity = new
     raise ConvergenceError(
         f"local valuation did not converge in {cfg.max_iter} iterations "
-        f"(residual {resid:.3e})",
-        residual=float(resid), iterations=cfg.max_iter)
+        f"(residual {resid:.3e})")
 
 
 def local_delta(state: LocalValuationState, net: FirmNetwork) -> np.ndarray:

@@ -82,8 +82,6 @@ class _RunningStat:
 
     @property
     def se(self) -> np.ndarray:
-        if self.count < 2:
-            return np.full_like(np.asarray(self.mean, dtype=float), np.nan)
         return np.sqrt(self.m2 / (self.count - 1) / self.count)
 
 
@@ -176,8 +174,7 @@ class GreekReport(_Report):
 def _at_draw(exc: ConvergenceError, start: int) -> ConvergenceError:
     """A chunk's ConvergenceError with its draw counted from the first draw of the run."""
     draw = start + (exc.draw or 0)
-    return ConvergenceError(f"scenario solve failed at draw {draw}: {exc}", claims=exc.claims,
-                            residual=exc.residual, iterations=exc.iterations, draw=draw)
+    return ConvergenceError(f"scenario solve failed at draw {draw}: {exc}", draw=draw)
 
 
 def _mc_chunk(net, gbm, cfg, seed, draws, want_greeks, weights, start):

@@ -18,7 +18,6 @@ __all__ = [
     "NetworkError",
     "ValidationReport",
     "FirmNetwork",
-    "ClaimVector",
     "validate_network",
     "symmetric_network",
     "load_network",
@@ -202,32 +201,6 @@ class FirmNetwork(_ArrayEq):
     @property
     def n(self) -> int:
         return self.d.shape[0]
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "m_s": self.m_s.tolist(),
-            "m_d": self.m_d.tolist(),
-            "d": self.d.tolist(),
-        }
-
-
-@dataclass(frozen=True, eq=False)
-class ClaimVector(_ArrayEq):
-    """Equity values s and recovery debt values r of one scenario."""
-
-    s: np.ndarray
-    r: np.ndarray
-
-    def __post_init__(self):
-        s = _frozen_array(np.atleast_1d(self.s))
-        r = _frozen_array(np.atleast_1d(self.r))
-        if s.shape != r.shape or s.ndim != 1:
-            raise ValueError(f"claim blocks must be equal-length vectors, got {s.shape} and {r.shape}")
-        if np.any(s < 0.0) or np.any(r < 0.0):
-            raise ValueError("claim values must be non-negative")
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "r", r)
 
 
 def symmetric_network(n: int, w_s: float, w_d: float, d: float = 1.0) -> FirmNetwork:

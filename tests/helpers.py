@@ -1,26 +1,35 @@
 """Shared test utilities: random admissible networks, finite differences, the
 single-scenario solver and sensitivity calls, and the plain Picard,
-pattern-keying and 2n x 2n sensitivity oracles."""
+pattern-keying, 2n x 2n sensitivity and exact rational oracles."""
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from fractions import Fraction
+from itertools import product
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-from netgreeks import (ClaimVector, ConvergenceError, FirmNetwork, FixedPointConfig,
-                       solve_claims_batch)
+from netgreeks import ConvergenceError, FirmNetwork, FixedPointConfig, solve_claims_batch
 from netgreeks.fixpoint import DEFAULT_CONFIG
 from netgreeks.sensitivity import dxda_batch
 
 TIGHT = FixedPointConfig(tol=1e-14, max_iter=50_000)
 
 
+class Claims(NamedTuple):
+    """Equity values s and recovery debt values r of one scenario."""
+
+    s: np.ndarray
+    r: np.ndarray
+
+
 @dataclass(frozen=True)
 class FixedPointSolution:
-    claims: ClaimVector
+    claims: Claims
     xi: np.ndarray
     iterations: int
     residual: float
@@ -33,20 +42,20 @@ def solve_claims(net: FirmNetwork, a, cfg: FixedPointConfig = DEFAULT_CONFIG) ->
         raise ValueError(f"expected one asset vector, got {a.shape[0]} rows")
     sol = solve_claims_batch(net, a, cfg)
     return FixedPointSolution(
-        claims=ClaimVector(s=sol.s[0], r=sol.r[0]),
+        claims=Claims(s=sol.s[0], r=sol.r[0]),
         xi=sol.xi[0],
         iterations=sol.iterations,
         residual=float(sol.residuals[0]),
     )
 
 
-def eval_g(net: FirmNetwork, a, claims: ClaimVector) -> ClaimVector:
+def eval_g(net: FirmNetwork, a, claims: Claims) -> Claims:
     """One application of the valuation map at claims x."""
     v = a + net.m_s @ claims.s + net.m_d @ claims.r
-    return ClaimVector(s=np.maximum(0.0, v - net.d), r=np.minimum(net.d, v))
+    return Claims(s=np.maximum(0.0, v - net.d), r=np.minimum(net.d, v))
 
 
-def solvency(net: FirmNetwork, a, claims: ClaimVector) -> np.ndarray:
+def solvency(net: FirmNetwork, a, claims: Claims) -> np.ndarray:
     """Solvency indicators at given claims: 1 iff v_i > d_i (ties insolvent)."""
     return (a + net.m_s @ claims.s + net.m_d @ claims.r > net.d).astype(float)
 
@@ -57,7 +66,8 @@ def dxda_at(net: FirmNetwork, xi, weights=None) -> np.ndarray:
 
 
 def save_network(net: FirmNetwork, path) -> None:
-    Path(path).write_text(json.dumps(net.to_dict(), indent=2) + "\n")
+    obj = {"n": net.n, "m_s": net.m_s.tolist(), "m_d": net.m_d.tolist(), "d": net.d.tolist()}
+    Path(path).write_text(json.dumps(obj, indent=2) + "\n")
 
 
 def picard_oracle(net: FirmNetwork, a, cfg: FixedPointConfig = DEFAULT_CONFIG):
@@ -189,3 +199,47 @@ def member_stats_from_report(rep):
         rep.rho[equity].mean(), rep.rho[debt].mean(),
         rep.pi.mean(),
     ]), rep.boundary_hits
+
+
+def exact_inverse(m: list[list[Fraction]]) -> list[list[Fraction]]:
+    """Inverse of a nonsingular square matrix of Fractions by Gauss-Jordan elimination."""
+    n = len(m)
+    rows = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(m)]
+    for col in range(n):
+        pivot = next(i for i in range(col, n) if rows[i][col])
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        rows[col] = [x / rows[col][col] for x in rows[col]]
+        for i in range(n):
+            if i != col and rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[col])]
+    return [row[n:] for row in rows]
+
+
+def exact_system(net: FirmNetwork, xi) -> list[list[Fraction]]:
+    """A(xi) = I - m_s Xi - m_d (I - Xi) in Fractions, from the exact binary values of the floats."""
+    held = np.where(np.asarray(xi, dtype=bool), net.m_s, net.m_d)
+    return [[int(i == j) - Fraction(held[i, j]) for j in range(net.n)] for i in range(net.n)]
+
+
+def inf_norm(m: list[list[Fraction]]) -> Fraction:
+    return max(sum(abs(x) for x in row) for row in m)
+
+
+def exact_fixed_points(net: FirmNetwork, a) -> list[tuple[np.ndarray, list[Fraction], list]]:
+    """(xi, v, A(xi)^{-1}) for every solvency pattern xi whose exact solve is consistent.
+
+    Enumerates all 2^n patterns, solves A(xi) v = a + (m_d - m_s) Xi d in
+    Fractions, and keeps the patterns whose v > d is xi.
+    """
+    n = net.n
+    d = [Fraction(x) for x in net.d]
+    found = []
+    for xi in product((0, 1), repeat=n):
+        inv = exact_inverse(exact_system(net, xi))
+        b = [Fraction(a[i]) + sum((Fraction(net.m_d[i, j]) - Fraction(net.m_s[i, j])) * d[j]
+                                  for j in range(n) if xi[j]) for i in range(n)]
+        v = [sum(inv[i][j] * b[j] for j in range(n)) for i in range(n)]
+        if all((v[i] > d[i]) == bool(xi[i]) for i in range(n)):
+            found.append((np.array(xi, dtype=float), v, inv))
+    return found

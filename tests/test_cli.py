@@ -12,7 +12,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from netgreeks.cli import main
-from netgreeks.experiments import ExperimentConfig
+from netgreeks.experiments import ExperimentConfig, run_experiment
+from netgreeks.fixpoint import ConvergenceError
 from netgreeks.network import FirmNetwork
 from helpers import save_network
 
@@ -159,6 +160,39 @@ def test_solver_failure_exit_code(tmp_path, capsys):
     })
     assert main(["price", "--config", cfg, "--out", str(tmp_path / "p.json")]) == 3
     assert "solver failure" in capsys.readouterr().err
+
+
+def test_er_sweep_solver_failure_names_its_cell_and_member(tmp_path, capsys):
+    # one Picard sweep cannot finish an n = 4 member; the message says which
+    obj = {"kind": "er-sweep", "k_mean": [2.0], "w_d": [0.5], "a0": [1.0], "sigma": 0.4,
+           "n": 4, "networks": 2, "draws": 16, "seed": 3, "max_iter": 1}
+    cfg = _write(tmp_path, "sweep.json", obj)
+    assert main(["er-sweep", "--config", cfg, "--out", str(tmp_path / "s.csv")]) == 3
+    err = capsys.readouterr().err
+    for label in ("k_mean=2", "w_d=0.5", "a0=1", "member 0", "failed at draw"):
+        assert label in err
+    with pytest.raises(ConvergenceError) as exc:
+        run_experiment(ExperimentConfig.from_dict(obj), out=tmp_path / "s.csv")
+    assert f"at draw {exc.value.draw}:" in str(exc.value)
+
+
+@pytest.mark.parametrize("kind, config, name", [
+    ("er-sweep", "er_sweep_quick.json", "missing/result"),
+    ("greeks", "greeks_example.json", "missing/result"),
+    ("greeks", "greeks_example.json", "."),     # the output path is a directory
+])
+def test_unwritable_output_path_fails_before_any_work(tmp_path, capsys, monkeypatch,
+                                                      kind, config, name):
+    import netgreeks.experiments as ex
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("Monte Carlo ran before the output path was checked")
+
+    monkeypatch.setattr(ex, "mc_greeks", no_work)
+    out = tmp_path / name
+    assert main([kind, "--config", str(CONFIGS / config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: out:" in err and str(out) in err
 
 
 def test_nonfinite_input_is_config_error(tmp_path, capsys):

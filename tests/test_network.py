@@ -200,13 +200,6 @@ def test_conservation_random_fixed_points():
         assert abs(v_out.sum() - a.sum()) < 1e-9
 
 
-def test_claim_vector_rejects_negative_and_mismatched():
-    with pytest.raises(ValueError):
-        ng.ClaimVector(s=np.array([-0.1]), r=np.array([0.0]))
-    with pytest.raises(ValueError):
-        ng.ClaimVector(s=np.zeros(2), r=np.zeros(3))
-
-
 def test_symmetric_network_structure():
     net = ng.symmetric_network(5, 0.3, 0.6, d=2.0)
     assert np.all(np.diag(net.m_s) == 0) and np.all(np.diag(net.m_d) == 0)
@@ -245,8 +238,6 @@ def test_array_dataclasses_compare_without_raising():
         (ng.symmetric_network(3, 0.1, 0.2), ng.symmetric_network(3, 0.1, 0.2),
          ng.symmetric_network(3, 0.1, 0.3)),
         (gbm(0.3), gbm(0.3), gbm(0.5)),
-        (ng.ClaimVector(s=[1.0, 0.0], r=[1.0, 0.5]), ng.ClaimVector(s=[1.0, 0.0], r=[1.0, 0.5]),
-         ng.ClaimVector(s=[1.0, 0.0], r=[1.0, 0.4])),
     ]
     for a, same, other in pairs:
         assert a == same and not (a != same)
@@ -264,7 +255,6 @@ def _array_dataclasses(rng, n):
     return [
         (random_network(rng, n), ("d",)),
         (GbmParams(a_t=x[0], sigma=x[1], r=0.01, tau=1.0, corr=np.eye(n)), ("a_t", "sigma", "r", "tau")),
-        (ng.ClaimVector(s=x[0], r=x[1]), ("s", "r")),
         (ng.BatchSolution(s=x[:2], r=x[1:3], v=x[2:], xi=(x[:2] > 1.0).astype(float),
                           iterations=7, residuals=x[3, :2]), ("s", "r", "v", "residuals")),
     ]
