@@ -33,8 +33,6 @@ def er_network(n: int, k_mean: float, w_d: float, seed: int, d: float = 1.0) -> 
     p = k_mean / (n - 1)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"k_mean {k_mean} gives edge probability {p} outside [0, 1]")
-    if not d > 0.0:
-        raise ValueError("debt must be strictly positive")
     adj = np.random.default_rng(seed).random((n, n)) < p
     np.fill_diagonal(adj, False)
     return FirmNetwork(m_s=np.zeros((n, n)), m_d=_column_scaled(adj, w_d), d=np.full(n, d))

@@ -30,24 +30,14 @@ class NetworkError(ValueError):
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Outcome of the admissibility checks, one flag per rule.
-
-    ``strict_all_columns`` is informational only: it records whether every
-    column sum of both matrices is strictly below one, which admissibility
-    does not require.  The solvency-monotonicity results of
-    ``netgreeks.sensitivity`` need it: u_s non-decreasing in the solvency
-    pattern when m_s >= m_d, u_d non-increasing when m_d >= m_s, and both
-    when m_s == m_d.
-    """
+    """Outcome of the six admissibility rules, one flag per rule."""
 
     shapes_consistent: bool
     no_self_holdings: bool
     no_short_positions: bool
     sub_stochastic_columns: bool
-    strict_external_holding: bool
     positive_debt: bool
     unique_fixed_point: bool
-    strict_all_columns: bool
     failures: tuple[str, ...]
 
     @property
@@ -55,7 +45,10 @@ class ValidationReport:
         return not self.failures
 
 
-def _closed_ring(m_s: np.ndarray, m_d: np.ndarray) -> np.ndarray:
+_SLACK = 1e-12  # rounding slack of both rules on column sums of holdings
+
+
+def _closed_ring(m_s: np.ndarray, m_d: np.ndarray, sums) -> np.ndarray:
     """The largest set of firms each of which has its equity or its debt held
     in full by firms of the set, as sorted indices; empty if there is none.
 
@@ -64,11 +57,12 @@ def _closed_ring(m_s: np.ndarray, m_d: np.ndarray) -> np.ndarray:
     exactly when such a ring exists: value can circulate in it without ever
     reaching an outside investor.  Without a ring every H(xi) has spectral
     radius below one; for pure-debt networks that is rho(m_d) < 1, and
-    rho(max(m_s, m_d)) < 1 rules out a ring.  The ring is the greatest
-    fixed point of dropping the firms whose fully held claims all have a
-    holder outside the candidate set.
+    rho(max(m_s, m_d)) < 1 rules out a ring.  A claim is held in full when
+    its column sum in ``sums`` is within _SLACK of one.  The ring is the
+    greatest fixed point of dropping the firms whose fully held claims all
+    have a holder outside the candidate set.
     """
-    claims = [(m > 0.0, m.sum(axis=0) >= 1.0) for m in (m_s, m_d)]
+    claims = [(m > 0.0, c >= 1.0 - _SLACK) for m, c in zip((m_s, m_d), sums)]
     ring = claims[0][1] | claims[1][1]
     while True:
         keep = np.zeros_like(ring)
@@ -83,13 +77,14 @@ def _closed_ring(m_s: np.ndarray, m_d: np.ndarray) -> np.ndarray:
 def validate_network(m_s, m_d, d) -> ValidationReport:
     """Check raw holding matrices and debt for admissibility.
 
-    Total on finite inputs: never raises, always returns a report.  The
-    rules are: zero diagonals, no negative holdings, column sums at most
-    one, at least one column of each matrix strictly below one (some value
-    leaks to outside investors), strictly positive debt, and no closed
-    holding ring (``_closed_ring``).  The last makes the fixed point unique
-    and every sensitivity system A(xi) = I - H(xi) and each of its
-    principal blocks invertible.
+    Total on finite inputs: never raises, always returns a report.  The six
+    rules are: consistent shapes with at least one firm, zero diagonals, no
+    negative holdings, column sums at most one, strictly positive debt, and
+    no closed holding ring (``_closed_ring``).  The last makes the fixed
+    point unique and every sensitivity system A(xi) = I - H(xi) and each of
+    its principal blocks invertible.  Both column-sum rules allow the same
+    _SLACK on sums added in value order, so renumbering the firms never
+    changes the verdict.
     """
     failures = []
     m_s = np.asarray(m_s, dtype=float)
@@ -98,16 +93,15 @@ def validate_network(m_s, m_d, d) -> ValidationReport:
 
     shapes = (
         m_s.ndim == 2
-        and m_s.shape[0] == m_s.shape[1]
+        and 0 < m_s.shape[0] == m_s.shape[1]
         and m_d.shape == m_s.shape
         and d.shape == (m_s.shape[0],)
     )
     if not shapes:
         failures.append(
-            f"shape mismatch: m_s {m_s.shape}, m_d {m_d.shape}, d {d.shape}"
+            f"shapes: need n >= 1 firms, got m_s {m_s.shape}, m_d {m_d.shape}, d {d.shape}"
         )
-        return ValidationReport(False, False, False, False, False, False, False, False,
-                                tuple(failures))
+        return ValidationReport(False, False, False, False, False, False, tuple(failures))
 
     no_self = not (np.any(np.diag(m_s) != 0.0) or np.any(np.diag(m_d) != 0.0))
     if not no_self:
@@ -117,37 +111,27 @@ def validate_network(m_s, m_d, d) -> ValidationReport:
     if not no_short:
         failures.append("short position: negative holding fraction")
 
-    # tiny slack for accumulated rounding in column sums
-    cs_s = m_s.sum(axis=0)
-    cs_d = m_d.sum(axis=0)
-    sub_stochastic = bool(np.all(cs_s <= 1.0 + 1e-12) and np.all(cs_d <= 1.0 + 1e-12))
+    sums = [np.sort(m, axis=0).sum(axis=0) for m in (m_s, m_d)]
+    sub_stochastic = bool(np.all(np.concatenate(sums) <= 1.0 + _SLACK))
     if not sub_stochastic:
         failures.append("column sum above one: holdings exceed the claim")
-
-    strict_external = bool(np.any(cs_s < 1.0) and np.any(cs_d < 1.0))
-    if not strict_external:
-        failures.append("external holding: no column with sum strictly below one")
 
     positive_debt = bool(np.all((d > 0.0) & np.isfinite(d)))
     if not positive_debt:
         failures.append("debt-positive: nominal debt must be strictly positive and finite")
 
-    ring = _closed_ring(m_s, m_d)
+    ring = _closed_ring(m_s, m_d, sums)
     if ring.size:
         failures.append(f"closed holding ring: firms {ring.tolist()} each have their equity "
                         "or debt held in full inside the ring, so the fixed point is not unique")
-
-    strict_all = bool(np.all(cs_s < 1.0) and np.all(cs_d < 1.0))
 
     return ValidationReport(
         shapes_consistent=True,
         no_self_holdings=no_self,
         no_short_positions=no_short,
         sub_stochastic_columns=sub_stochastic,
-        strict_external_holding=strict_external,
         positive_debt=positive_debt,
         unique_fixed_point=not ring.size,
-        strict_all_columns=strict_all,
         failures=tuple(failures),
     )
 

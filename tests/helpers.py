@@ -91,6 +91,25 @@ def picard_oracle(net: FirmNetwork, a, cfg: FixedPointConfig = DEFAULT_CONFIG):
     raise ConvergenceError(f"no convergence after {cfg.max_iter} iterations")
 
 
+def quadrature_price(net: FirmNetwork, gbm, nodes: int) -> np.ndarray:
+    """Discounted claim prices (equity_1..n, debt_1..n) by a Gauss-Hermite product rule.
+
+    Each of the n axes of z ~ N(0, I) takes ``nodes`` probabilists' Hermite
+    nodes (``hermegauss``), the Cholesky factor of the correlation maps the
+    grid to the correlated log-returns, and ``picard_oracle`` solves the
+    fixed point at every node: no sampling, chunking or moments.
+    """
+    x, w = np.polynomial.hermite_e.hermegauss(nodes)
+    grid = np.meshgrid(*[x] * gbm.n, indexing="ij")
+    z = np.stack([g.ravel() for g in grid], axis=1)
+    weight = np.prod(np.meshgrid(*[w / np.sqrt(2.0 * np.pi)] * gbm.n, indexing="ij"), axis=0)
+    y = z @ np.linalg.cholesky(gbm.corr).T
+    a_T = gbm.a_t * np.exp((gbm.r - 0.5 * gbm.sigma**2) * gbm.tau
+                           + np.sqrt(gbm.tau) * gbm.sigma * y)
+    s, r = picard_oracle(net, a_T)[:2]
+    return np.exp(-gbm.r * gbm.tau) * (weight.ravel() @ np.hstack([s, r]))
+
+
 def distinct_patterns_oracle(xi_batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``sensitivity._distinct_patterns`` by np.unique over void keys of the packed bits.
 
@@ -201,12 +220,14 @@ def member_stats_from_report(rep):
     ]), rep.boundary_hits
 
 
-def exact_inverse(m: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Inverse of a nonsingular square matrix of Fractions by Gauss-Jordan elimination."""
+def exact_inverse(m: list[list[Fraction]]) -> list[list[Fraction]] | None:
+    """Inverse of a square matrix of Fractions by Gauss-Jordan elimination; None if singular."""
     n = len(m)
     rows = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(m)]
     for col in range(n):
-        pivot = next(i for i in range(col, n) if rows[i][col])
+        pivot = next((i for i in range(col, n) if rows[i][col]), None)
+        if pivot is None:
+            return None
         rows[col], rows[pivot] = rows[pivot], rows[col]
         rows[col] = [x / rows[col][col] for x in rows[col]]
         for i in range(n):
@@ -216,28 +237,34 @@ def exact_inverse(m: list[list[Fraction]]) -> list[list[Fraction]]:
     return [row[n:] for row in rows]
 
 
-def exact_system(net: FirmNetwork, xi) -> list[list[Fraction]]:
+def exact_system(m_s, m_d, xi) -> list[list[Fraction]]:
     """A(xi) = I - m_s Xi - m_d (I - Xi) in Fractions, from the exact binary values of the floats."""
-    held = np.where(np.asarray(xi, dtype=bool), net.m_s, net.m_d)
-    return [[int(i == j) - Fraction(held[i, j]) for j in range(net.n)] for i in range(net.n)]
+    held = np.where(np.asarray(xi, dtype=bool), m_s, m_d)
+    n = len(held)
+    return [[int(i == j) - Fraction(held[i, j]) for j in range(n)] for i in range(n)]
 
 
 def inf_norm(m: list[list[Fraction]]) -> Fraction:
     return max(sum(abs(x) for x in row) for row in m)
 
 
-def exact_fixed_points(net: FirmNetwork, a) -> list[tuple[np.ndarray, list[Fraction], list]]:
-    """(xi, v, A(xi)^{-1}) for every solvency pattern xi whose exact solve is consistent.
+def exact_fixed_points(m_s, m_d, d, a) -> list[tuple[np.ndarray, list | None, list | None]]:
+    """(xi, v, A(xi)^{-1}) for every solvency pattern xi whose exact solve is
+    consistent, and (xi, None, None) for every xi with a singular A(xi).
 
-    Enumerates all 2^n patterns, solves A(xi) v = a + (m_d - m_s) Xi d in
-    Fractions, and keeps the patterns whose v > d is xi.
+    Takes raw arrays, so networks ``validate_network`` rejects enumerate too.
+    Solves A(xi) v = a + (m_d - m_s) Xi d in Fractions for all 2^n patterns
+    and keeps the patterns whose v > d is xi: a tie v_i = d_i is insolvent.
     """
-    n = net.n
-    d = [Fraction(x) for x in net.d]
+    n = len(d)
+    d = [Fraction(x) for x in d]
     found = []
     for xi in product((0, 1), repeat=n):
-        inv = exact_inverse(exact_system(net, xi))
-        b = [Fraction(a[i]) + sum((Fraction(net.m_d[i, j]) - Fraction(net.m_s[i, j])) * d[j]
+        inv = exact_inverse(exact_system(m_s, m_d, xi))
+        if inv is None:
+            found.append((np.array(xi, dtype=float), None, None))
+            continue
+        b = [Fraction(a[i]) + sum((Fraction(m_d[i, j]) - Fraction(m_s[i, j])) * d[j]
                                   for j in range(n) if xi[j]) for i in range(n)]
         v = [sum(inv[i][j] * b[j] for j in range(n)) for i in range(n)]
         if all((v[i] > d[i]) == bool(xi[i]) for i in range(n)):

@@ -92,10 +92,8 @@ def test_validate_prints_every_check_of_the_report(monkeypatch, capsys):
         "  no_self_holdings: True\n"
         "  no_short_positions: True\n"
         "  sub_stochastic_columns: True\n"
-        "  strict_external_holding: True\n"
         "  positive_debt: True\n"
         "  unique_fixed_point: True\n"
-        "  strict_all_columns: True\n"
         "OK\n"
     )
 
@@ -140,6 +138,25 @@ def test_closed_holding_ring_is_rejected_at_the_boundary(tmp_path, capsys):
     assert "unique_fixed_point: False" in out and "closed holding ring" in out
     cfg = _write(tmp_path, "price.json", {
         "kind": "price", "network": net_path, "a_t": 1.0, "sigma": 0.4, "draws": 64,
+    })
+    assert main(["price", "--config", cfg, "--out", str(tmp_path / "p.json")]) == 2
+    assert "closed holding ring" in capsys.readouterr().err
+
+
+def test_ring_held_in_full_within_rounding_is_rejected_at_the_boundary(tmp_path, capsys):
+    # firm 0 holds all the equity of firms 1-3, which hold 0.7, 0.2 and 0.1 of
+    # firm 0's equity: a closed ring, though in this order firm 0's column
+    # sums to 0.9999999999999999; solving it would stall in Picard
+    m_s = np.zeros((4, 4))
+    m_s[1:, 0] = [0.7, 0.2, 0.1]
+    m_s[0, 1:] = 1.0
+    net_path = _write(tmp_path, "ring.json", {"n": 4, "m_s": m_s.tolist(),
+                                              "m_d": np.zeros((4, 4)).tolist(), "d": [1.0] * 4})
+    cfg = _write(tmp_path, "validate.json", {"kind": "validate", "network": net_path})
+    assert main(["validate", "--config", cfg]) == 1
+    assert "closed holding ring: firms [0, 1, 2, 3]" in capsys.readouterr().out
+    cfg = _write(tmp_path, "price.json", {
+        "kind": "price", "network": net_path, "a_t": 2.0, "sigma": 0.4, "draws": 1000,
     })
     assert main(["price", "--config", cfg, "--out", str(tmp_path / "p.json")]) == 2
     assert "closed holding ring" in capsys.readouterr().err
@@ -339,6 +356,7 @@ SMALL = {
     ("er-sweep", {"n": 1}),
     ("two-firm", {"w_d": 1.0}),
     ("symmetric-grid", {"w_d": [0.4, 1.0]}),
+    ("er-sweep", {"d": 0.0}),
 ])
 def test_out_of_range_network_is_config_error(tmp_path, capsys, kind, overrides):
     cfg = _write(tmp_path, "cfg.json", {"kind": kind, **SMALL[kind], **overrides})

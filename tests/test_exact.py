@@ -1,6 +1,6 @@
 """The solver and dx*/da against exact rational arithmetic.
 
-For n <= 4 every one of the 2^n solvency patterns is solved in Fractions
+For n <= 5 every one of the 2^n solvency patterns is solved in Fractions
 from the exact binary values of the floats (``helpers.exact_fixed_points``).
 The bounds use exact norms:
 
@@ -14,6 +14,10 @@ The bounds use exact norms:
   for a weight matrix W = (W_s, W_d): a backward-stable n x n solve is
   within n eps kappa_inf(A) max(|C| |A^{-1}|) to first order, and the bound
   is four times that.
+
+Networks with holdings in multiples of 1/16 and debts and assets in
+multiples of 1/8 are exact in binary, so a tie v_i = d_i and a holding ring
+whose claims add to exactly one are exact too.
 """
 
 from fractions import Fraction
@@ -40,12 +44,27 @@ def _network(seed, n):
     return net, rng.uniform(0.1, 3.0, size=n)
 
 
+def _dyadic_holdings(rng, n, rings=True):
+    """Holdings in sixteenths: each column empty, leaking (sum <= 3/4) or,
+    with rings, held in full by one, two or four firms."""
+    m = np.zeros((n, n))
+    for j in range(n):
+        others = [i for i in range(n) if i != j]
+        kind = rng.integers(3 if rings else 2)
+        if kind == 1:
+            m[others, j] = rng.integers(0, 13 // (n - 1) + 1, size=n - 1) / 16.0
+        elif kind == 2:
+            size = rng.choice([k for k in (1, 2, 4) if k < n])
+            m[rng.choice(others, size=size, replace=False), j] = 1.0 / size
+    return m
+
+
 def _assert_dxda_exact(net, xi, weights=None):
     """dxda_batch at one pattern against C A(xi)^{-1} in Fractions, within the stated bound."""
     n = net.n
     w = np.eye(2 * n) if weights is None else weights
     got = sensitivity.dxda_batch(net, xi[None], weights=weights)[0]
-    a = exact_system(net, xi)
+    a = exact_system(net.m_s, net.m_d, xi)
     a_inv = exact_inverse(a)
     c = [[Fraction(row[j] if xi[j] else row[n + j]) for j in range(n)] for row in w]
     exact = [[sum(ck[i] * a_inv[i][j] for i in range(n)) for j in range(n)] for ck in c]
@@ -56,10 +75,10 @@ def _assert_dxda_exact(net, xi, weights=None):
 
 
 @settings(max_examples=50, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.integers(2, 4))
+@given(st.integers(0, 2**32 - 1), st.integers(2, 5))
 def test_solver_meets_the_exact_fixed_point(seed, n):
     net, a = _network(seed, n)
-    found = exact_fixed_points(net, a)
+    found = exact_fixed_points(net.m_s, net.m_d, net.d, a)
     # every consistent pattern solves the fixed point, which is unique
     assert found and all(v == found[0][1] for _, v, _ in found)
     xi, v, a_inv = found[0]
@@ -79,7 +98,7 @@ def test_solver_meets_the_exact_fixed_point(seed, n):
 
 
 @settings(max_examples=50, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.integers(2, 4))
+@given(st.integers(0, 2**32 - 1), st.integers(2, 5))
 def test_dxda_is_the_exact_projected_inverse(seed, n):
     net, _ = _network(seed, n)
     for xi in product((0.0, 1.0), repeat=n):
@@ -97,3 +116,48 @@ def test_wide_live_block_sweeps_match_the_exact_solve():
             mock.patch.object(sensitivity, "_factor_solve") as factor:
         _assert_dxda_exact(net, xi, weights=rng.uniform(-1.0, 1.0, size=(2, 16)))
     assert sweeps.called and not factor.called
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 5))
+def test_validate_accepts_exactly_the_networks_with_one_fixed_point(seed, n):
+    # rings included: the enumeration runs on raw arrays, admissible or not
+    rng = np.random.default_rng(seed)
+    m_s, m_d = _dyadic_holdings(rng, n), _dyadic_holdings(rng, n)
+    d, a = rng.integers(4, 17, size=n) / 8.0, rng.integers(1, 25, size=n) / 8.0
+    found = exact_fixed_points(m_s, m_d, d, a)
+    singular = any(v is None for _, v, _ in found)
+    values = {tuple(v) for _, v, _ in found if v is not None}
+    report = ng.validate_network(m_s, m_d, d)
+    # an accepted network has one fixed point, so two different v or a
+    # singular A(xi) fail it; with exact shares a closed ring is exactly a
+    # pattern whose A(xi) is singular
+    if report.ok:
+        assert not singular and len(values) == 1
+    assert report.unique_fixed_point == (not singular)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 5))
+def test_solver_counts_a_tie_as_insolvent(seed, n):
+    # pick the fixed point first, in eighths with some v_i = d_i exactly, and
+    # solve for the assets; the README counts a tie as a default
+    rng = np.random.default_rng(seed)
+    m_s, m_d = _dyadic_holdings(rng, n, rings=False), _dyadic_holdings(rng, n, rings=False)
+    d = rng.integers(4, 17, size=n) / 8.0
+    v = d + rng.integers(-3, 4, size=n) / 8.0
+    tie = rng.random(n) < 0.5
+    v[tie] = d[tie]
+    xi = v > d
+    a = [sum(Fraction(x) for x in row) for row in zip(
+        v, -(np.where(xi, m_s, m_d) @ v), (m_s - m_d) @ (xi * d))]
+    assume(min(a) > 0)
+    a = np.array([float(x) for x in a])
+    net = ng.FirmNetwork(m_s=m_s, m_d=m_d, d=d)
+    found = exact_fixed_points(m_s, m_d, d, a)
+    assert len(found) == 1 and found[0][1] == [Fraction(x) for x in v]
+    np.testing.assert_array_equal(found[0][0], xi)
+    for cfg in (DEFAULT_CONFIG, TIGHT):
+        for rows in (1, n):
+            sol = ng.solve_claims_batch(net, np.tile(a, (rows, 1)), cfg)
+            np.testing.assert_array_equal(sol.xi, np.tile(xi, (rows, 1)))
