@@ -5,6 +5,12 @@ randomness from the config seed with stable per-task indices, and writes
 CSV (17 significant digits) or JSON.  Work is parallelized across
 independent tasks with results merged in submission order, so output files
 are byte-identical for any thread count.
+
+er-sweep runs one task per network, the indices (ki, wi, m).  Member m of
+block (k_mean[ki], w_d[wi]) is er_network(n, k_mean[ki], w_d[wi],
+seed=_task_seed(seed, 0, ki, wi, m), d=d), priced at a0[ai] with Monte Carlo
+seed _task_seed(seed, 1, ki, wi, ai, m), so it replays from the config alone.
+Every (k_mean, w_d) pair and every a0 is checked before any Monte Carlo runs.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from .local import (_checked_firm_vol, independent_default_delta, local_delta,
                     local_fixed_point, marginal_contagion)
 from .mc import (_at_draw, _chunk_size, _ordered_map, _RunningStat, _tree_merge, mc_greeks,
                  price_claims)
-from .netgen import er_network
+from .netgen import _edge_probability, er_network
 from .network import FirmNetwork, _read_network, load_network, symmetric_network, validate_network
 from .sensitivity import SensitivityError, dxda_batch
 from .symmetric import (SymmetricGreeks, SymmetricParams, symmetric_expost, symmetric_greeks,
@@ -336,70 +342,68 @@ ER_SWEEP_HEADER = [
 ]
 
 
-def _member_stats(task, draws, fp_cfg):
-    """One ensemble member's statistics vector and boundary hits.
+def _member_stats(task, cfg, gbms):
+    """Member m of block (ki, wi) at every a0: an (A, 12) array and A boundary hits.
 
-    task is (network, asset model, seed), optionally followed by a label
-    that a solver failure's message starts with.  The vector is (s_price,
-    r_price, default_prob, delta_s, delta_r, vega_s, vega_r, theta_s,
-    theta_r, rho_s, rho_r, pi), each a firm average.
+    Each row is (s_price, r_price, default_prob, delta_s, delta_r, vega_s,
+    vega_r, theta_s, theta_r, rho_s, rho_r, pi), each a firm average.
     """
-    net, gbm, seed, *label = task
+    ki, wi, m = task
+    k_mean, w_d = cfg.k_mean[ki], cfg.w_d[wi]
+    with _config_errors("network"):
+        net = er_network(cfg.n, k_mean, w_d, seed=_task_seed(cfg.seed, 0, ki, wi, m), d=cfg.d)
     # one portfolio per block, the firm average of equity and of debt: the row
     # needs only these two rows of dx*/da, one transposed solve per pattern
-    try:
-        rep = mc_greeks(net, gbm, draws, seed, cfg=fp_cfg,
-                        weights=np.kron(np.eye(2), np.full((1, net.n), 1.0 / net.n)))
-    except ConvergenceError as exc:
-        raise ConvergenceError(" ".join([*label, str(exc)]), draw=exc.draw) from exc
-    except SensitivityError as exc:
-        raise SensitivityError(" ".join([*label, str(exc)])) from exc
-    return np.array([*rep.price, rep.default_prob.mean(), *rep.delta.sum(axis=1),
-                     *rep.vega.sum(axis=1), *rep.theta, *rep.rho, rep.pi.sum()]), rep.boundary_hits
+    weights = np.kron(np.eye(2), np.full((1, net.n), 1.0 / net.n))
+    stats, hits = [], []
+    for ai, (a0, gbm) in enumerate(zip(cfg.a0, gbms)):
+        try:
+            rep = mc_greeks(net, gbm, cfg.draws, _task_seed(cfg.seed, 1, ki, wi, ai, m),
+                            cfg=cfg.fixed_point_config(), weights=weights)
+        except (ConvergenceError, SensitivityError) as exc:
+            exc.args = (f"cell k_mean={k_mean:g} w_d={w_d:g} a0={a0:g}, member {m}: {exc}",)
+            raise
+        stats.append([*rep.price, rep.default_prob.mean(), *rep.delta.sum(axis=1),
+                      *rep.vega.sum(axis=1), *rep.theta, *rep.rho, rep.pi.sum()])
+        hits.append(rep.boundary_hits)
+    return np.array(stats), hits
 
 
 def run_er_sweep(cfg: ExperimentConfig, out=None) -> list[list]:
     """Ensemble-averaged prices and Greeks over (k_mean, w_d, a0) cells.
 
-    Networks are drawn once per (k_mean, w_d) and reused across the a0 grid;
-    Monte Carlo seeds are derived per (cell, member).  Firm-level quantities
-    are averaged over firms, then over ensemble members.
+    Firm-level quantities are averaged over firms, then over ensemble members.
     """
     gbms = [_gbm_from_config(cfg, cfg.n, (a0,)) for a0 in cfg.a0]
-    member = partial(_member_stats, draws=cfg.draws, fp_cfg=cfg.fixed_point_config())
+    with _config_errors("network"):
+        for k_mean, w_d in product(cfg.k_mean, cfg.w_d):
+            _edge_probability(cfg.n, k_mean, w_d)
+    member = partial(_member_stats, cfg=cfg, gbms=gbms)
     rows = []
     total = len(cfg.k_mean) * len(cfg.w_d) * len(cfg.a0)
     start = time.perf_counter()
-    for ki, k_mean in enumerate(cfg.k_mean):
-        for wi, w_d in enumerate(cfg.w_d):
-            with _config_errors("network"):
-                nets = [er_network(cfg.n, k_mean, w_d, seed=_task_seed(cfg.seed, 0, ki, wi, m),
-                                   d=cfg.d) for m in range(cfg.networks)]
-            tasks = [(net, gbm, _task_seed(cfg.seed, 1, ki, wi, ai, m),
-                      f"cell k_mean={k_mean:g} w_d={w_d:g} a0={a0:g}, member {m}:")
-                     for ai, (a0, gbm) in enumerate(zip(cfg.a0, gbms))
-                     for m, net in enumerate(nets)]
-            results = _ordered_map(member, tasks, cfg.threads)
-            for ai, a0 in enumerate(cfg.a0):
-                cell = results[ai * cfg.networks:(ai + 1) * cfg.networks]
-                # each statistic's mean along a contiguous member axis is
-                # numpy's pairwise sum, as over a 1-D list of members
-                mean = np.array([vec for vec, _ in cell]).T.copy().mean(axis=1).tolist()
-                s_price, r_price, default_prob, *greeks, pi = mean
-                v_price = s_price + r_price
-                row = [k_mean, w_d, a0, cfg.sigma[0], cfg.d, cfg.r, cfg.tau, cfg.n,
-                       cfg.networks, cfg.draws, cfg.seed, s_price, r_price, v_price,
-                       s_price / v_price if v_price else np.nan,
-                       a0 / v_price if v_price else np.nan, default_prob]
-                # delta, vega, theta and rho: equity, debt and their total
-                for equity, debt in zip(greeks[::2], greeks[1::2]):
-                    row += [equity, debt, equity + debt]
-                rows.append(row + [pi, sum(hits for _, hits in cell)])
-            elapsed = time.perf_counter() - start
-            eta = elapsed * (total - len(rows)) / len(rows)
-            _progress(f"er-sweep: k_mean={k_mean:g} w_d={w_d:g} done "
-                      f"({len(rows)}/{total} rows, elapsed {_clock(elapsed)}, "
-                      f"ETA {_clock(eta)})")
+    for (ki, k_mean), (wi, w_d) in product(enumerate(cfg.k_mean), enumerate(cfg.w_d)):
+        results = _ordered_map(member, [(ki, wi, m) for m in range(cfg.networks)], cfg.threads)
+        # (A, 12, M): each statistic's mean along a contiguous member axis is
+        # numpy's pairwise sum, as over a 1-D list of members
+        means = np.stack([stats for stats, _ in results], axis=-1).mean(axis=2).tolist()
+        hits = np.sum([member_hits for _, member_hits in results], axis=0).tolist()
+        for a0, mean, cell_hits in zip(cfg.a0, means, hits):
+            s_price, r_price, default_prob, *greeks, pi = mean
+            v_price = s_price + r_price
+            row = [k_mean, w_d, a0, cfg.sigma[0], cfg.d, cfg.r, cfg.tau, cfg.n,
+                   cfg.networks, cfg.draws, cfg.seed, s_price, r_price, v_price,
+                   s_price / v_price if v_price else np.nan,
+                   a0 / v_price if v_price else np.nan, default_prob]
+            # delta, vega, theta and rho: equity, debt and their total
+            for equity, debt in zip(greeks[::2], greeks[1::2]):
+                row += [equity, debt, equity + debt]
+            rows.append(row + [pi, cell_hits])
+        elapsed = time.perf_counter() - start
+        eta = elapsed * (total - len(rows)) / len(rows)
+        _progress(f"er-sweep: k_mean={k_mean:g} w_d={w_d:g} done "
+                  f"({len(rows)}/{total} rows, elapsed {_clock(elapsed)}, "
+                  f"ETA {_clock(eta)})")
     if out is not None:
         write_csv(out, ER_SWEEP_HEADER, rows)
     return rows

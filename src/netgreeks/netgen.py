@@ -24,8 +24,8 @@ def _column_scaled(adj: np.ndarray, w_d: float) -> np.ndarray:
     return weights
 
 
-def er_network(n: int, k_mean: float, w_d: float, seed: int, d: float = 1.0) -> FirmNetwork:
-    """One random debt network; equity holdings are zero."""
+def _edge_probability(n: int, k_mean: float, w_d: float) -> float:
+    """The ensemble's edge probability; ValueError if (n, k_mean, w_d) make no network."""
     if n < 2:
         raise ValueError("need at least two firms")
     if not 0.0 <= w_d < 1.0:
@@ -33,6 +33,11 @@ def er_network(n: int, k_mean: float, w_d: float, seed: int, d: float = 1.0) -> 
     p = k_mean / (n - 1)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"k_mean {k_mean} gives edge probability {p} outside [0, 1]")
-    adj = np.random.default_rng(seed).random((n, n)) < p
+    return p
+
+
+def er_network(n: int, k_mean: float, w_d: float, seed: int, d: float = 1.0) -> FirmNetwork:
+    """One random debt network; equity holdings are zero."""
+    adj = np.random.default_rng(seed).random((n, n)) < _edge_probability(n, k_mean, w_d)
     np.fill_diagonal(adj, False)
     return FirmNetwork(m_s=np.zeros((n, n)), m_d=_column_scaled(adj, w_d), d=np.full(n, d))

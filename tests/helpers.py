@@ -19,6 +19,12 @@ from netgreeks.sensitivity import dxda_batch
 
 TIGHT = FixedPointConfig(tol=1e-14, max_iter=50_000)
 
+# an er-sweep with two values on each network axis and three a0, r != 0 and
+# tau != 1: every member runs three cells
+MULTI_A0_SWEEP = {"kind": "er-sweep", "k_mean": [1.0, 3.0], "w_d": [0.3, 0.6],
+                  "a0": [0.8, 1.05, 1.4], "sigma": 0.4, "n": 6, "networks": 3, "draws": 300,
+                  "r": 0.03, "tau": 1.5, "seed": 11}
+
 
 class Claims(NamedTuple):
     """Equity values s and recovery debt values r of one scenario."""

@@ -193,6 +193,32 @@ def test_er_sweep_solver_failure_names_its_cell_and_member(tmp_path, capsys):
     assert f"at draw {exc.value.draw}:" in str(exc.value)
 
 
+@pytest.mark.parametrize("grid", [{"k_mean": [1.0, 2.0, 40.0]}, {"w_d": [0.2, 0.6, 1.0]}],
+                         ids=["k_mean", "w_d"])
+def test_er_sweep_bad_late_grid_value_fails_before_any_work(tmp_path, capsys, monkeypatch,
+                                                           grid):
+    # k_mean 40 at n = 30 is an edge probability above one and w_d = 1 makes
+    # no network: the last block's value exits 2 before the first block runs
+    import netgreeks.experiments as ex
+
+    calls = []
+    real = ex.mc_greeks
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ex, "mc_greeks", counting)
+    cfg = _write(tmp_path, "sweep.json", {
+        "kind": "er-sweep", "k_mean": [2.0], "w_d": [0.5], "a0": [1.0], "sigma": 0.4,
+        "n": 30, "networks": 2, "draws": 16, "seed": 1, **grid})
+    assert main(["er-sweep", "--config", cfg, "--out", str(tmp_path / "s.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "config error: bad network:" in err
+    assert "er-sweep:" not in err
+    assert calls == []
+
+
 @pytest.mark.parametrize("kind, config, name", [
     ("er-sweep", "er_sweep_quick.json", "missing/result"),
     ("greeks", "greeks_example.json", "missing/result"),

@@ -28,11 +28,11 @@ from netgreeks.experiments import (
 )
 
 import netgreeks.experiments as experiments
-from netgreeks import (ConvergenceError, GbmParams, normal_variates, sample_terminal,
-                       solve_claims_batch, symmetric_network)
+from netgreeks import (ConvergenceError, GbmParams, SensitivityError, normal_variates,
+                       sample_terminal, solve_claims_batch, symmetric_network)
 from netgreeks.mc import _chunk_size
 
-from helpers import member_stats_from_report
+from helpers import MULTI_A0_SWEEP, member_stats_from_report
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -359,10 +359,13 @@ def test_fan_out_tasks_pickle_and_replay_the_run(tmp_path, monkeypatch, capsys):
     for i, cfg in enumerate(configs):
         run_experiment(cfg, out=tmp_path / f"want{i}")
     fns = []
+    member_task_bytes = []
 
     def unpickled_serial_map(fn, tasks, threads):
         fn, tasks = pickle.loads(pickle.dumps((fn, list(tasks))))
         fns.append(fn)
+        if fn.func.__name__ == "_member_stats":
+            member_task_bytes.extend(len(pickle.dumps(task)) for task in tasks)
         return [fn(task) for task in tasks]
 
     monkeypatch.setattr(experiments, "_ordered_map", unpickled_serial_map)
@@ -371,6 +374,8 @@ def test_fan_out_tasks_pickle_and_replay_the_run(tmp_path, monkeypatch, capsys):
         run_experiment(cfg, out=tmp_path / f"got{i}")
         assert (tmp_path / f"got{i}").read_bytes() == (tmp_path / f"want{i}").read_bytes()
     assert {fn.func.__name__ for fn in fns} == {"_member_stats", "_mc_chunk"}
+    # an er-sweep task is the member's indices (ki, wi, m): no network, no array
+    assert member_task_bytes and max(member_task_bytes) <= 100
 
 
 def test_er_sweep_replay_identical(tmp_path):
@@ -423,19 +428,86 @@ def test_member_aggregates_match_full_report_reductions():
             [(0.0, 0.5, 1.0, 0.0), (2.0, 0.0, 1.1, 0.0), (2.0, 0.6, 0.9, 0.0),
              (4.0, 0.4, 1.0833, 0.02), (1.0, 0.6, 1.2, 0.05)]):
         n = 7
-        net = er_network(n, k_mean, w_d, seed=_task_seed(5, 0, i), d=1.0)
+        cfg = ExperimentConfig(kind="er-sweep", k_mean=(k_mean,), w_d=(w_d,), a0=(a0,),
+                               n=n, networks=1, draws=300, seed=5 + i, r=r)
         gbm = GbmParams(a_t=np.full(n, a0), sigma=np.full(n, 0.4), r=r, tau=1.0,
                         corr=np.eye(n))
-        seed = _task_seed(5, 1, i)
-        got, got_hits = _member_stats((net, gbm, seed), 300, fp_cfg)
-        want, want_hits = member_stats_from_report(mc_greeks(net, gbm, 300, seed, cfg=fp_cfg))
-        assert got.shape == want.shape == (12,)
-        assert got_hits == want_hits
+        got, got_hits = _member_stats((0, 0, 0), cfg, [gbm])
+        net = er_network(n, k_mean, w_d, seed=_task_seed(cfg.seed, 0, 0, 0, 0), d=1.0)
+        want, want_hits = member_stats_from_report(
+            mc_greeks(net, gbm, 300, _task_seed(cfg.seed, 1, 0, 0, 0, 0), cfg=fp_cfg))
+        assert got.shape == (1, 12) and want.shape == (12,)
+        assert got_hits == [want_hits]
         scale = np.where(np.abs(want) > 1e-12, np.abs(want), 1.0)
-        err = np.abs(got - want) / scale
+        err = np.abs(got[0] - want) / scale
         worst = max(worst, err.max())
         assert np.all(err <= 1e-12), (k_mean, w_d, got, want)
     print(f"member statistics: worst relative deviation {worst:.1e}")
+
+
+def _multi_a0_cfg(**kw):
+    return ExperimentConfig.from_dict({**MULTI_A0_SWEEP, **kw})
+
+
+MEMBER_COLUMNS = ["s_price", "r_price", "default_prob", "delta_s_hat", "delta_r_hat",
+                  "vega_s_hat", "vega_r_hat", "theta_s_hat", "theta_r_hat", "rho_s_hat",
+                  "rho_r_hat", "pi_hat", "boundary_hits"]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_er_sweep_is_the_per_cell_member_loop_bit_for_bit(threads):
+    # the reference runs each (a0, member) as its own mc_greeks call, in
+    # (a0, member) order, with the sweep's seeds and its two block-average
+    # portfolios, and averages each statistic over the contiguous member axis
+    from netgreeks.mc import mc_greeks
+    from netgreeks.netgen import er_network
+
+    cfg = _multi_a0_cfg(threads=threads)
+    weights = np.kron(np.eye(2), np.full((1, cfg.n), 1.0 / cfg.n))
+    want = []
+    for ki, k_mean in enumerate(cfg.k_mean):
+        for wi, w_d in enumerate(cfg.w_d):
+            nets = [er_network(cfg.n, k_mean, w_d, seed=_task_seed(cfg.seed, 0, ki, wi, m),
+                               d=cfg.d) for m in range(cfg.networks)]
+            for ai, a0 in enumerate(cfg.a0):
+                gbm = GbmParams(a_t=np.full(cfg.n, a0), sigma=np.full(cfg.n, cfg.sigma[0]),
+                                r=cfg.r, tau=cfg.tau, corr=np.eye(cfg.n))
+                reps = [mc_greeks(net, gbm, cfg.draws, _task_seed(cfg.seed, 1, ki, wi, ai, m),
+                                  cfg=cfg.fixed_point_config(), weights=weights)
+                        for m, net in enumerate(nets)]
+                members = np.array([[*rep.price, rep.default_prob.mean(),
+                                     *rep.delta.sum(axis=1), *rep.vega.sum(axis=1),
+                                     *rep.theta, *rep.rho, rep.pi.sum()] for rep in reps])
+                want.append([*members.T.copy().mean(axis=1),
+                             sum(rep.boundary_hits for rep in reps)])
+    col = {name: i for i, name in enumerate(ER_SWEEP_HEADER)}
+    got = [[row[col[name]] for name in MEMBER_COLUMNS] for row in run_er_sweep(cfg)]
+    assert len(got) == 2 * 2 * 3
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+@pytest.mark.parametrize("make_error", [lambda: ConvergenceError("no convergence", draw=7),
+                                        lambda: SensitivityError("singular system")],
+                         ids=["convergence", "sensitivity"])
+def test_er_sweep_failure_names_a_later_a0_and_member(monkeypatch, make_error):
+    # block (1, 0), third a0, second member: the message names that cell and
+    # member, and the error keeps its type and draw
+    cfg = _multi_a0_cfg()
+    failing = _task_seed(cfg.seed, 1, 1, 0, 2, 1)
+    real = experiments.mc_greeks
+
+    def fail_one(net, gbm, draws, seed, **kw):
+        if seed == failing:
+            raise make_error()
+        return real(net, gbm, draws, seed, **kw)
+
+    monkeypatch.setattr(experiments, "mc_greeks", fail_one)
+    with pytest.raises((ConvergenceError, SensitivityError)) as exc:
+        run_er_sweep(cfg)
+    want = make_error()
+    assert type(exc.value) is type(want)
+    assert str(exc.value) == f"cell k_mean=3 w_d=0.3 a0=1.4, member 1: {want}"
+    assert getattr(exc.value, "draw", None) == getattr(want, "draw", None)
 
 
 def test_er_sweep_progress_reports_elapsed_and_eta(tmp_path, capsys):
