@@ -1,5 +1,5 @@
-"""Self-consistent claim valuation: loose Picard finds the solvency pattern,
-one linear solve per pattern finishes it.
+"""Self-consistent claim valuation: the first Picard sweep reads the solvency
+pattern, one linear solve per pattern finishes it.
 
 Given realized external assets a, equity and debt values solve
 
@@ -8,21 +8,22 @@ Given realized external assets a, equity and debt values solve
 Under the admissibility rules the map is monotone and has a unique fixed
 point for strictly positive a; Picard iteration from s = 0, r = min(d, a)
 increases to it.  Its rate is the holding weight, so heavy cross-holdings
-need ~50 sweeps to reach 1e-12, but the solvency pattern xi = (v > d)
-settles long before.  Once xi is known the fixed point is one linear solve,
+need ~50 sweeps to reach 1e-12.  Once the solvency pattern xi = (v > d) is
+known the fixed point is one linear solve,
 
     A(xi) v = a + (m_d - m_s) Xi d,   A(xi) = I - m_s Xi - m_d (I - Xi),
 
 the fictitious-default system of Eisenberg & Noe (2001) extended to equity
-cross-holdings.  ``solve_claims_batch`` therefore runs Picard only to
-LOOSE_TOL and reads xi off the loose iterate.  When a batch of B draws has
+cross-holdings.  ``solve_claims_batch`` therefore runs one Picard sweep
+from the start and reads xi off its v > d.  When a batch of B draws has
 few distinct patterns, U n <= B, it polishes: one solve per distinct
 pattern (``sensitivity._forward_solve``), re-solves of the draws whose
 v > d disagrees with xi for at most n rounds, and one map evaluation that
 checks every draw against tol.  The rule bounds the cost: the U inverses of
 A(xi) cost U n^3 <= B n^2 flops, one Picard sweep.  A draw that fails the
-check, and every draw of a batch with too many patterns to polish, goes on
-with plain Picard from the loose iterate, so the batch always meets tol.
+check or has a firm value within tol of its debt, and every draw of a batch
+with too many patterns to polish, goes on with plain Picard from the second
+iterate, so the batch always meets tol and a tie v = d counts insolvent.
 
 The solver works draw-last, on C-contiguous (n, B) arrays, as ``mc`` does;
 its products with the holdings sum in the draw-major order (``_dot``), so
@@ -46,16 +47,12 @@ __all__ = [
     "solve_claims_batch",
 ]
 
-# Picard's stopping tolerance before the polish; looser only costs flip rounds
-LOOSE_TOL = 1e-2
-
-
 @dataclass(frozen=True)
 class FixedPointConfig:
     """Stopping rule.
 
     tol bounds the sup-norm residual ||g(x) - x|| of every returned row;
-    max_iter bounds the Picard sweeps, loose phase plus any fallback.
+    max_iter bounds the Picard sweeps, the first one plus any fallback.
     """
 
     tol: float = 1e-12
@@ -90,7 +87,7 @@ class BatchSolution(_ArrayEq):
 
     s, r, v and xi are (B, n) views of C-contiguous draw-last (n, B) arrays.
     iterations counts map evaluations over the whole batch: the Picard
-    sweeps (loose phase plus any fallback) and, when the batch was
+    sweeps (the first one plus any fallback) and, when the batch was
     polished, the one verifying sweep; the linear solves are not counted.
     Without the polish it is the plain Picard count.  residuals is each
     draw's ||g(x) - x||_inf at the returned claims, at most tol.
@@ -155,7 +152,7 @@ def _convergence_error(net, v, step, cfg, rows):
 
 
 def _polish(net, a, solvent, inverse):
-    """Exact fixed point of every draw from the solvency patterns of a loose iterate.
+    """Exact fixed point of every draw from the solvency patterns of the first sweep.
 
     Solves A(xi) v = a + (m_d - m_s) Xi d once per distinct pattern
     (``sensitivity._forward_solve``), then re-solves only the draws whose
@@ -180,29 +177,32 @@ def _polish(net, a, solvent, inverse):
 
 
 def _picard(net, a, cfg):
-    """Fixed point of every draw of an (n, B) batch: loose Picard, then polish or more Picard.
+    """Fixed point of every draw of an (n, B) batch: one sweep, then polish or more Picard.
 
     Returns (s, r, v, xi, iterations, residuals), each array draw-last.  The
     returned claims are the iterate at which the residual ||g(x) - x|| was
     measured, so the post-condition ||x - g(a, x)||_inf <= tol holds exactly.
     """
     d = net.d[:, None]
-    loose = max(cfg.tol, LOOSE_TOL)
-    s, r, v, step, it = _sweeps(net, a, np.zeros_like(a), np.minimum(d, a), loose, 0, cfg.max_iter)
+    # one sweep from the start: max_iter = 1
+    s, r, v, step, it = _sweeps(net, a, np.zeros_like(a), np.minimum(d, a), 0.0, 0, 1)
     rows = np.arange(a.shape[1])
     if step.max() > cfg.tol:
         if it >= cfg.max_iter:
             raise _convergence_error(net, v, step, cfg, rows)
-        # the plain iteration's next iterate, where any fallback resumes
-        s_next, r_next = np.maximum(0.0, v - d), np.minimum(d, v)
-        solvent, inverse = _distinct_patterns((v > d).T)
+        first = v
+        solvent, inverse = _distinct_patterns((first > d).T)
         polished = len(solvent) * net.n <= a.shape[1]
         if polished:
             s, r, v, step = _polish(net, a, solvent, inverse)
-            rows = np.flatnonzero(step.max(axis=0) > cfg.tol)
+            # the solve may round a tie v = d up; Picard from below counts it insolvent
+            rows = np.flatnonzero((step.max(axis=0) > cfg.tol)
+                                  | np.any(np.abs(v - d) <= cfg.tol, axis=0))
         if rows.size:
-            sub = _sweeps(net, a[:, rows], s_next[:, rows], r_next[:, rows], cfg.tol, it,
-                          cfg.max_iter)
+            # the plain iteration's second iterate, where the fallback resumes
+            first = first[:, rows]
+            sub = _sweeps(net, a[:, rows], np.maximum(0.0, first - d), np.minimum(d, first),
+                          cfg.tol, it, cfg.max_iter)
             if sub[3].max() > cfg.tol:
                 raise _convergence_error(net, sub[2], sub[3], cfg, rows)
             s[:, rows], r[:, rows], v[:, rows], step[:, rows] = sub[:4]

@@ -163,8 +163,8 @@ def test_ring_held_in_full_within_rounding_is_rejected_at_the_boundary(tmp_path,
 
 
 def test_solver_failure_exit_code(tmp_path, capsys):
-    # deep mutual insolvency with nearly-stochastic debt holdings: a handful
-    # of Picard steps cannot reach the fixed point
+    # deep mutual insolvency with nearly-stochastic debt holdings: one
+    # Picard sweep cannot reach the fixed point
     net_path = tmp_path / "net.json"
     save_network(FirmNetwork(
         m_s=np.zeros((2, 2)),
@@ -173,7 +173,7 @@ def test_solver_failure_exit_code(tmp_path, capsys):
     ), net_path)
     cfg = _write(tmp_path, "price.json", {
         "kind": "price", "network": str(net_path), "a_t": 0.05, "sigma": 0.4,
-        "draws": 64, "seed": 1, "max_iter": 3,
+        "draws": 64, "seed": 1, "max_iter": 1,
     })
     assert main(["price", "--config", cfg, "--out", str(tmp_path / "p.json")]) == 3
     assert "solver failure" in capsys.readouterr().err

@@ -7,6 +7,9 @@ from hypothesis import strategies as st
 
 import netgreeks as ng
 from netgreeks import fixpoint
+from netgreeks.experiments import _task_seed
+from netgreeks.gbm import GbmParams, normal_variates, sample_terminal
+from netgreeks.netgen import er_network
 from netgreeks.sensitivity import _distinct_patterns
 from helpers import TIGHT, Claims, eval_g, picard_oracle, random_network, solve_claims, solvency
 
@@ -220,7 +223,7 @@ def test_config_validation():
         ng.FixedPointConfig(max_iter=0)
 
 
-# -- the polish: loose Picard, then one A(xi) solve per distinct pattern --------
+# -- the polish: one Picard sweep, then one A(xi) solve per distinct pattern ----
 
 
 def _spy(name):
@@ -260,15 +263,15 @@ def test_polish_matches_plain_picard(seed, n, debt_only, distinct):
         sol = ng.solve_claims_batch(net, a, TIGHT)
     oracle = picard_oracle(net, a, TIGHT)
     _assert_matches_oracle(sol, oracle, TIGHT.tol)
-    # loose Picard and, unless that already met tol, the verifying sweep;
+    # the first sweep and, unless that already met tol, the verifying sweep;
     # no row needed the fallback
     assert sweeps.call_count <= 2
     assert sol.iterations <= oracle[4] + 1
 
 
 def test_polish_re_solves_rows_whose_loose_pattern_is_wrong():
-    # Picard rises to v* = a + 0.6 d = 1.001 from below, so at the loose
-    # tolerance both firms still look insolvent; solving with xi = 00 gives
+    # Picard rises to v* = a + 0.6 d = 1.001 from below, so after the first
+    # sweep both firms still look insolvent; solving with xi = 00 gives
     # v = a / 0.4 > d, and one re-solve with xi = 11 finishes
     net = ng.symmetric_network(2, 0.0, 0.6)
     a = np.full((4, 2), 0.401)
@@ -288,7 +291,7 @@ def test_row_failing_the_polish_check_falls_back_to_picard(monkeypatch):
     with _spy("_sweeps") as sweeps:
         sol = ng.solve_claims_batch(net, a, TIGHT)
     oracle = picard_oracle(net, a, TIGHT)
-    # loose Picard, the verifying sweep and the fallback of row 2 alone
+    # the first sweep, the verifying sweep and the fallback of row 2 alone
     assert [call.args[2].shape[1] for call in sweeps.call_args_list] == [6, 6, 1]
     _assert_matches_oracle(sol, oracle, TIGHT.tol)
     # the fallback resumes the plain sequence, so the row is the oracle's
@@ -298,8 +301,8 @@ def test_row_failing_the_polish_check_falls_back_to_picard(monkeypatch):
 
 
 def test_fallback_failure_names_the_batch_row(monkeypatch):
-    # deep mutual insolvency: loose Picard is done in a few sweeps, the
-    # fallback of the perturbed row 4 would need hundreds more
+    # deep mutual insolvency: the first sweep reads xi = 00, the fallback
+    # of the perturbed row 4 would need hundreds more sweeps
     net = ng.symmetric_network(2, 0.0, 0.9)
     a = np.full((6, 2), 0.05)
     _perturb_forward_solve(monkeypatch, 4, -1e-3)
@@ -309,8 +312,38 @@ def test_fallback_failure_names_the_batch_row(monkeypatch):
     assert err.value.draw == 4
 
 
+def test_deep_insolvency_is_polished_after_one_sweep():
+    # plain Picard needs hundreds of sweeps at w_d = 0.9; the first sweep
+    # already reads xi = 00, and its one solve gives v = a / 0.1 exactly
+    net = ng.symmetric_network(2, 0.0, 0.9)
+    sol = ng.solve_claims_batch(net, np.full((4, 2), 0.05), ng.FixedPointConfig(max_iter=3))
+    np.testing.assert_allclose(sol.v, 0.5, rtol=0.0, atol=1e-15)
+    np.testing.assert_array_equal(sol.xi, 0.0)
+    # the first sweep and the verifying sweep
+    assert sol.iterations == 2
+
+
+@pytest.mark.parametrize("ai, a0", [(0, 0.1), (1, 0.2)])
+def test_paper_sweep_low_asset_cells_are_polished(ai, a0):
+    # member 0 of configs/er_sweep_paper.json's cells k_mean = 2 (index 4),
+    # w_d = 0.6 (index 3) at low a0, its 700 draws in one batch: the first
+    # sweep's patterns are few enough to polish, and the polish is the exact
+    # fixed point that Picard at TIGHT approaches
+    net = er_network(60, 2.0, 0.6, seed=_task_seed(1, 0, 4, 3, 0))
+    gbm = GbmParams(a_t=np.full(60, a0), sigma=np.full(60, 0.4), r=0.0, tau=1.0,
+                    corr=np.eye(60))
+    a = sample_terminal(gbm, normal_variates(_task_seed(1, 1, 4, 3, ai, 0), 700, 60))
+    with _spy("_polish") as polish:
+        sol = ng.solve_claims_batch(net, a)
+    assert polish.call_count == 1
+    s, r, v = picard_oracle(net, a, TIGHT)[:3]
+    for got, want in zip((sol.s, sol.r, sol.v), (s, r, v)):
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+    assert sol.residuals.max() <= ng.FixedPointConfig().tol
+
+
 def test_batch_with_all_distinct_patterns_is_plain_picard():
-    # U n > B: the polish is skipped and Picard resumes from the loose
+    # U n > B: the polish is skipped and Picard resumes from the second
     # iterate, bit for bit the plain iteration
     rng = np.random.default_rng(8)
     checked = 0

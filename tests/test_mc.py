@@ -220,12 +220,12 @@ def test_invariants_on_random_network():
 
 
 def test_nonconvergence_reports_global_draw_index():
-    # an aggressive iteration cap fails inside some chunk; the error must
-    # surface the draw index in the caller's numbering
+    # a one-sweep cap fails inside some chunk before the polish; the error
+    # must surface the draw index in the caller's numbering
     net = ng.symmetric_network(2, 0.0, 0.9)
     gbm = GbmParams(a_t=[0.05, 0.05], sigma=[0.3, 0.3], r=0.0, tau=1.0,
                     corr=np.eye(2))
-    cfg = FixedPointConfig(tol=1e-12, max_iter=3)
+    cfg = FixedPointConfig(tol=1e-12, max_iter=1)
     with pytest.raises(ConvergenceError) as err:
         mc_greeks(net, gbm, 1000, seed=17, cfg=cfg)
     assert err.value.draw is not None and err.value.draw >= 0
@@ -236,7 +236,7 @@ def test_nonconvergence_names_unconverged_firms_and_pattern():
     net = ng.symmetric_network(2, 0.0, 0.9)
     gbm = GbmParams(a_t=[0.05, 0.05], sigma=[0.3, 0.3], r=0.0, tau=1.0,
                     corr=np.eye(2))
-    cfg = FixedPointConfig(tol=1e-12, max_iter=3)
+    cfg = FixedPointConfig(tol=1e-12, max_iter=1)
     with pytest.raises(ConvergenceError) as err:
         mc_greeks(net, gbm, 1000, seed=17, cfg=cfg)
     # both deeply insolvent firms are still moving when the cap is hit

@@ -496,8 +496,8 @@ def test_every_solve_with_a_xi_runs_inside_the_adjoint_kernel(monkeypatch):
 
     monkeypatch.setattr(sens, "_adjoint_solve", adjoint)
     monkeypatch.setattr(sens, "_solve", solve)
-    # both firms solvent at v* = 1.001, but Picard from below still reads
-    # xi = 00 at the loose tolerance: one solve, one flip round
+    # both firms solvent at v* = 1.001, but the first Picard sweep from
+    # below still reads xi = 00: one solve, one flip round
     net = ng.symmetric_network(2, 0.3, 0.6)
     sol = ng.solve_claims_batch(net, np.full((4, 2), 0.4007))
     np.testing.assert_array_equal(sol.xi, 1.0)
