@@ -6,8 +6,7 @@ from .gbm import GbmParams, normal_variates, sample_terminal
 from .local import (LocalValuationState, independent_default_delta,
                     local_delta, local_fixed_point, marginal_contagion)
 from .mc import GreekReport, PriceResult, mc_greeks, price_claims
-from .netgen import er_network
-from .network import (FirmNetwork, NetworkError, ValidationReport, load_network,
+from .network import (FirmNetwork, NetworkError, ValidationReport, er_network, load_network,
                       symmetric_network, validate_network)
 from .sensitivity import SensitivityError
 from .symmetric import (SymmetricGreeks, SymmetricParams, symmetric_expost,

@@ -32,8 +32,8 @@ from .local import (_checked_firm_vol, independent_default_delta, local_delta,
                     local_fixed_point, marginal_contagion)
 from .mc import (_at_draw, _chunk_size, _ordered_map, _RunningStat, _tree_merge, mc_greeks,
                  price_claims)
-from .netgen import _edge_probability, er_network
-from .network import FirmNetwork, _read_network, load_network, symmetric_network, validate_network
+from .network import (FirmNetwork, _edge_probability, _read_network, er_network, load_network,
+                      symmetric_network, validate_network)
 from .sensitivity import SensitivityError, dxda_batch
 from .symmetric import (SymmetricGreeks, SymmetricParams, symmetric_expost, symmetric_greeks,
                         symmetric_pi, symmetric_price)
@@ -393,8 +393,7 @@ def run_er_sweep(cfg: ExperimentConfig, out=None) -> list[list]:
             v_price = s_price + r_price
             row = [k_mean, w_d, a0, cfg.sigma[0], cfg.d, cfg.r, cfg.tau, cfg.n,
                    cfg.networks, cfg.draws, cfg.seed, s_price, r_price, v_price,
-                   s_price / v_price if v_price else np.nan,
-                   a0 / v_price if v_price else np.nan, default_prob]
+                   s_price / v_price, a0 / v_price, default_prob]
             # delta, vega, theta and rho: equity, debt and their total
             for equity, debt in zip(greeks[::2], greeks[1::2]):
                 row += [equity, debt, equity + debt]

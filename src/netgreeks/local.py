@@ -17,7 +17,7 @@ import numpy as np
 from .blackscholes import d_pair, norm_cdf, put_delta, put_price
 from .fixpoint import ConvergenceError, FixedPointConfig, DEFAULT_CONFIG
 from .network import FirmNetwork, _ArrayEq
-from .sensitivity import _require_debt_only, _solve
+from .sensitivity import _solve
 
 __all__ = [
     "LocalValuationState",
@@ -27,7 +27,10 @@ __all__ = [
     "independent_default_delta",
 ]
 
-_WHAT = "local approximation"
+
+def _require_debt_only(net: FirmNetwork) -> None:
+    if np.any(net.m_s != 0.0):
+        raise ValueError("local approximation is defined for pure debt cross-holdings (m_s = 0)")
 
 
 def _extended(fn, spot, strike, r, tau, vol, defaulted):
@@ -70,7 +73,7 @@ def _checked_firm_vol(net: FirmNetwork, firm_vol, tau: float) -> np.ndarray:
     The network must be pure debt, firm_vol one value or one per firm, and
     every volatility and tau finite and strictly positive.
     """
-    _require_debt_only(net, _WHAT)
+    _require_debt_only(net)
     firm_vol = np.asarray(firm_vol, dtype=float)
     if firm_vol.size not in (1, net.n):
         raise ValueError(f"firm volatilities: expected 1 or {net.n} values, got {firm_vol.size}")
@@ -115,7 +118,7 @@ def local_delta(state: LocalValuationState, net: FirmNetwork) -> np.ndarray:
     counterparties in distress while staying near the identity when every
     counterparty is safe.
     """
-    _require_debt_only(net, _WHAT)
+    _require_debt_only(net)
     pdelta = _extended(put_delta, state.equity + net.d, net.d, state.r, state.tau,
                        state.firm_vol, -1.0)
     return _solve(np.eye(net.n) + net.m_d * pdelta[None, :], np.eye(net.n))
@@ -128,7 +131,7 @@ def marginal_contagion(net: FirmNetwork, pd, shock) -> np.ndarray:
     holding only when the issuer defaults (probability pd, treated as
     independent across firms).
     """
-    _require_debt_only(net, _WHAT)
+    _require_debt_only(net)
     pd = _probabilities(pd)
     return _solve(np.eye(net.n) - net.m_d * pd[None, :], np.asarray(shock, dtype=float))
 
@@ -140,6 +143,6 @@ def independent_default_delta(net: FirmNetwork, pd) -> np.ndarray:
     whenever each pd_i is 0 or 1 (deterministic pattern), an approximation
     otherwise because joint defaults are correlated through the network.
     """
-    _require_debt_only(net, _WHAT)
+    _require_debt_only(net)
     pd = _probabilities(pd)
     return _solve(np.eye(net.n) - pd[:, None] * net.m_d, np.diag(pd))

@@ -173,7 +173,7 @@ class GreekReport(_Report):
 
 def _at_draw(exc: ConvergenceError, start: int) -> ConvergenceError:
     """A chunk's ConvergenceError with its draw counted from the first draw of the run."""
-    draw = start + (exc.draw or 0)
+    draw = start + exc.draw
     return ConvergenceError(f"scenario solve failed at draw {draw}: {exc}", draw=draw)
 
 

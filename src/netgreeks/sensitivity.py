@@ -85,11 +85,6 @@ class SensitivityError(RuntimeError):
     """Singular sensitivity system; admissibility was violated upstream."""
 
 
-def _require_debt_only(net: FirmNetwork, what: str) -> None:
-    if np.any(net.m_s != 0.0):
-        raise ValueError(f"{what} is defined for pure debt cross-holdings (m_s = 0)")
-
-
 def _distinct_patterns(solvent: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Distinct rows of a (B, n) bool batch -> (solvent (U, n) bool, row -> pattern (B,)).
 

@@ -420,7 +420,7 @@ def test_member_aggregates_match_full_report_reductions():
     from netgreeks.fixpoint import FixedPointConfig
     from netgreeks.gbm import GbmParams
     from netgreeks.mc import mc_greeks
-    from netgreeks.netgen import er_network
+    from netgreeks.network import er_network
 
     fp_cfg = FixedPointConfig()
     worst = 0.0
@@ -460,7 +460,7 @@ def test_er_sweep_is_the_per_cell_member_loop_bit_for_bit(threads):
     # (a0, member) order, with the sweep's seeds and its two block-average
     # portfolios, and averages each statistic over the contiguous member axis
     from netgreeks.mc import mc_greeks
-    from netgreeks.netgen import er_network
+    from netgreeks.network import er_network
 
     cfg = _multi_a0_cfg(threads=threads)
     weights = np.kron(np.eye(2), np.full((1, cfg.n), 1.0 / cfg.n))

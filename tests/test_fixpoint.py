@@ -9,7 +9,7 @@ import netgreeks as ng
 from netgreeks import fixpoint
 from netgreeks.experiments import _task_seed
 from netgreeks.gbm import GbmParams, normal_variates, sample_terminal
-from netgreeks.netgen import er_network
+from netgreeks.network import er_network
 from netgreeks.sensitivity import _distinct_patterns
 from helpers import TIGHT, Claims, eval_g, picard_oracle, random_network, solve_claims, solvency
 
@@ -354,14 +354,30 @@ def test_batch_with_all_distinct_patterns_is_plain_picard():
         oracle = picard_oracle(net, a)
         if len(_distinct_patterns(oracle[3] == 1.0)[0]) < len(a):
             continue
-        with _spy("_polish") as polish:
-            sol = ng.solve_claims_batch(net, a)
-        assert not polish.called
-        for got, want in zip((sol.s, sol.r, sol.v, sol.xi, sol.residuals),
-                             (*oracle[:4], oracle[5])):
-            np.testing.assert_array_equal(got, want)
-        assert sol.iterations == oracle[4]
+        _assert_plain_picard(net, a, oracle)
         checked += 1
+
+
+@pytest.mark.parametrize("ki, k_mean, wi, w_d", [(6, 3.0, 3, 0.6), (2, 1.0, 1, 0.2)])
+def test_n60_batch_with_too_many_patterns_is_plain_picard(ki, k_mean, wi, w_d):
+    # member 0 of configs/er_sweep_paper.json's cell (k_mean, w_d) at a0 = 1
+    # (index 9), one 582-draw chunk: too many patterns to polish, and the
+    # draw-major products keep the batch bit for bit the plain iteration
+    net = er_network(60, k_mean, w_d, seed=_task_seed(1, 0, ki, wi, 0))
+    gbm = GbmParams(a_t=np.ones(60), sigma=np.full(60, 0.4), r=0.0, tau=1.0, corr=np.eye(60))
+    a = sample_terminal(gbm, normal_variates(_task_seed(1, 1, ki, wi, 9, 0), 582, 60))
+    _assert_plain_picard(net, a, picard_oracle(net, a))
+
+
+def _assert_plain_picard(net, a, oracle):
+    """solve_claims_batch skips the polish and equals picard_oracle bit for bit."""
+    with _spy("_polish") as polish:
+        sol = ng.solve_claims_batch(net, a)
+    assert not polish.called
+    for got, want in zip((sol.s, sol.r, sol.v, sol.xi, sol.residuals),
+                         (*oracle[:4], oracle[5])):
+        np.testing.assert_array_equal(got, want)
+    assert sol.iterations == oracle[4]
 
 
 def _assert_draw_last(sol, shape):

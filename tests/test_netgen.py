@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from netgreeks.experiments import _task_seed
-from netgreeks.netgen import er_network
+from netgreeks.network import er_network
 from netgreeks.network import validate_network
 
 
