@@ -218,7 +218,10 @@ def solve_claims_batch(net: FirmNetwork, a,
     a = np.atleast_2d(np.asarray(a, dtype=float))
     if a.shape[1] != net.n:
         raise ValueError(f"scenario array has {a.shape[1]} columns, network has {net.n} firms")
-    if np.any(a <= 0.0):
-        raise ValueError("external asset values must be strictly positive")
+    bad = ~((a > 0.0) & (a < np.inf))
+    if bad.any():
+        row, firm = np.argwhere(bad)[0]
+        raise ValueError(f"external asset values must be finite and strictly positive, "
+                         f"got {a[row, firm]} at row {row}, firm {firm}")
     s, r, v, xi, it, resid = _picard(net, a.T.copy(), cfg)
     return BatchSolution(s=s.T, r=r.T, v=v.T, xi=xi.T, iterations=it, residuals=resid)

@@ -40,6 +40,9 @@ class GbmParams(_ArrayEq):
 
     chol, the lower Cholesky factor of corr, is computed once here, so the
     accepted correlation matrices are exactly those the sampler can use.
+    Parameters are also rejected when some normal the sampler can return
+    maps to a terminal value that is not finite and positive, or to a
+    partial that is not finite.
     """
 
     a_t: np.ndarray
@@ -84,6 +87,7 @@ class GbmParams(_ArrayEq):
         object.__setattr__(self, "tau", float(self.tau))
         object.__setattr__(self, "corr", corr)
         object.__setattr__(self, "chol", _frozen_array(chol))
+        _check_draw_range(self)
 
     @property
     def n(self) -> int:
@@ -145,6 +149,35 @@ def _ndtri(y: np.ndarray) -> np.ndarray:
     return x
 
 
+# the extreme normals the sampler returns: _ndtri of the smallest uniform,
+# finfo(float).tiny, and of the largest, 1 - 2**-53
+_Z_MIN = -37.5193793471445
+_Z_MAX = 8.209536151601387
+
+
+def _check_draw_range(params: GbmParams) -> None:
+    """Raise ValueError unless every sampled A_T is finite and positive with finite partials.
+
+    Over the box [_Z_MIN, _Z_MAX]^n of normals, firm i's correlated normal
+    y_i = (L z)_i spans [lo_i, hi_i].  A_T^i rises with y_i; |dA_T/dsigma| and
+    |dA_T/dtau| peak at an end or at their one stationary point inside.
+    """
+    sig, tau, r = params.sigma, params.tau, params.r
+    ends = params.chol * _Z_MIN, params.chol * _Z_MAX
+    lo, hi = np.minimum(*ends).sum(axis=1), np.maximum(*ends).sum(axis=1)
+    with np.errstate(all="ignore"):
+        stationary = ((sig * tau - 1.0 / sig) / np.sqrt(tau),
+                      -(1.0 / (2.0 * tau) + r - 0.5 * sig**2) * 2.0 * np.sqrt(tau) / sig)
+        y = np.clip(np.stack([lo, hi, *stationary]), lo, hi)
+        a_T = _terminal(params, y)
+        partials = _partials(params, y.T, a_T.T)
+    ok = (a_T > 0.0) & (a_T < np.inf) & np.isfinite(partials).all(axis=0).T
+    if not ok.all():
+        i = int(np.flatnonzero(~ok.all(axis=0))[0])
+        raise ValueError(f"firm {i}: the terminal asset value or its partials overflow or "
+                         f"underflow for sampled normals in [{lo[i]:.4g}, {hi[i]:.4g}]")
+
+
 def _words_per_draw(n: int) -> int:
     # Philox advances in blocks of four 64-bit words; pad each draw row to a
     # whole number of blocks so chunk offsets are reachable exactly.
@@ -187,11 +220,15 @@ def _terminal_with_partials(params: GbmParams, z: np.ndarray):
     """
     y = np.asarray(z, dtype=float) @ params.chol.T
     a_T = _terminal(params, y)
-    y, a = y.T.copy(), a_T.T.copy()
+    return a_T, _partials(params, y.T.copy(), a_T.T.copy())
+
+
+def _partials(params: GbmParams, y: np.ndarray, a: np.ndarray):
+    """(da_t, dsigma, dr, dtau) at draw-last (n, B) correlated normals y and A_T values a."""
     sig = params.sigma[:, None]
     tau = params.tau
     sqrt_tau = np.sqrt(tau)
-    return a_T, (a / params.a_t[:, None],
-                 a * (-sig * tau + sqrt_tau * y),
-                 a * tau,
-                 a * (params.r - 0.5 * sig**2 + sig * y / (2.0 * sqrt_tau)))
+    return (a / params.a_t[:, None],
+            a * (-sig * tau + sqrt_tau * y),
+            a * tau,
+            a * (params.r - 0.5 * sig**2 + sig * y / (2.0 * sqrt_tau)))

@@ -15,10 +15,24 @@ firms reduce leading axes, and the chunk's mean and M2 are numpy's pairwise
 sums along the contiguous draw axis (Higham, 1993).
 Per-chunk moments are combined with a pairwise merge in deterministic order,
 so results are bit-identical for any thread count.
+
+Importing this module pins two glibc malloc thresholds, once, where the C
+library has ``mallopt`` (elsewhere it does nothing).  By default glibc serves
+blocks of 128 KiB or more by mmap and trims the heap top back to the kernel
+once 128 KiB are free; it raises both only after the process frees a large
+block.  Until then every chunk's few-MiB working set is unmapped when the
+chunk ends and faulted in, page by page, by the next.  M_MMAP_THRESHOLD is
+set to 16 * _CHUNK_BUDGET bytes (32 MiB), the largest array a chunk
+allocates: the unweighted (B, 2n, n) dx*/da of at most 2 * _CHUNK_BUDGET
+doubles.  M_TRIM_THRESHOLD is twice that.  These are the values glibc's own
+rule reaches after freeing one such block, so the cost no longer depends on
+the run's history.  The price is that up to 64 MiB of freed heap can stay
+resident after a run's peak.  No arithmetic changes.
 """
 
 from __future__ import annotations
 
+import ctypes
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
@@ -46,6 +60,24 @@ _CHUNK_BUDGET = 2_097_152
 
 # a draw is a boundary hit when some firm value lies within this fraction of its debt
 _BOUNDARY_REL = 1e-9
+
+# glibc's mallopt parameter numbers (malloc.h)
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _pin_heap_thresholds() -> None:
+    # see the module docstring; a C library without mallopt keeps its defaults
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mmap_bytes = 16 * _CHUNK_BUDGET
+    mallopt(_M_MMAP_THRESHOLD, mmap_bytes)
+    mallopt(_M_TRIM_THRESHOLD, 2 * mmap_bytes)
+
+
+_pin_heap_thresholds()
 
 
 def _chunk_size(n: int) -> int:

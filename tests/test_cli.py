@@ -248,6 +248,21 @@ def test_nonfinite_input_is_config_error(tmp_path, capsys):
     assert "finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind, key, value", [("price", "a_t", 1e308), ("greeks", "sigma", 40.0)])
+def test_draws_that_overflow_or_underflow_are_config_errors(tmp_path, capsys, kind, key, value):
+    # a_t = 1e308 overflows the top sampled A_T (Infinity prices, exit 0 before
+    # the range check); sigma = 40 underflows the bottom one to 0, which the
+    # solver rejected with a traceback and exit 1
+    cfg = _write(tmp_path, f"{kind}.json", {
+        "kind": kind, "network": str(CONFIGS / "example_network.json"),
+        "a_t": 1.0, "sigma": 0.4, key: value, "draws": 64, "seed": 1,
+    })
+    out = tmp_path / "out.json"
+    assert main([kind, "--config", cfg, "--out", str(out)]) == 2
+    assert "bad asset model: firm 0: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_correlation_without_cholesky_factor_is_config_error(tmp_path, capsys):
     # eigenvalue -2e-9 has no Cholesky factor even after the 1e-12 bump; it
     # is rejected with the asset model, not inside the Monte Carlo chunks

@@ -197,6 +197,18 @@ def test_rejects_nonpositive_assets():
         solve_claims(net, np.array([-1.0]))
 
 
+@pytest.mark.parametrize("a, row, firm", [
+    ([[np.inf, 1.0, 1.0]], 0, 0),
+    ([[1.0, 1.0, 1.0], [1.0, np.nan, 1.0]], 1, 1),
+    ([[1.0, 1.0, 1.0], [1.0, 1.0, 1.0], [1.0, 1.0, -np.inf]], 2, 2),
+])
+def test_batch_rejects_nonfinite_assets_and_names_the_row(a, row, firm):
+    # unguarded, inf runs max_iter sweeps to NaN claims and NaN returns zero equity
+    net = ng.symmetric_network(3, 0.2, 0.3, 1.0)
+    with pytest.raises(ValueError, match=f"finite and strictly positive, got .* at row {row}, firm {firm}$"):
+        ng.solve_claims_batch(net, a)
+
+
 def test_batch_matches_scalar():
     rng = np.random.default_rng(21)
     net = random_network(rng, 5)

@@ -8,6 +8,8 @@ from scipy.special import ndtri
 
 from netgreeks.gbm import (
     _EXP_M2,
+    _Z_MAX,
+    _Z_MIN,
     GbmParams,
     _ndtri,
     _terminal_with_partials,
@@ -46,6 +48,54 @@ def test_params_reject_nonfinite_inputs(field, bad):
     value = [1.0, bad] if field in ("a_t", "sigma") else bad
     with pytest.raises(ValueError, match="finite"):
         GbmParams(**{**good, field: value}, corr=np.eye(2))
+
+
+def test_extreme_normals_are_ndtri_of_the_extreme_uniforms():
+    # Generator.random returns multiples of 2**-53 below 1; normal_variates
+    # lifts 0 to the smallest normal float
+    u = np.array([np.finfo(float).tiny, 1.0 - 2.0**-53])
+    np.testing.assert_array_equal(_ndtri(u), [_Z_MIN, _Z_MAX])
+
+
+def _sampled_range_is_finite(a_t, sigma, r, tau):
+    # brute force over 200,001 normals in [_Z_MIN, _Z_MAX], both ends included
+    p = GbmParams(a_t=[1.0], sigma=[0.4], r=0.0, tau=1.0, corr=np.eye(1))
+    for name, value in (("a_t", np.array([a_t])), ("sigma", np.array([sigma])), ("r", r), ("tau", tau)):
+        object.__setattr__(p, name, value)
+    z = np.linspace(_Z_MIN, _Z_MAX, 200_001)[:, None]
+    with np.errstate(all="ignore"):
+        a, partials = _terminal_with_partials(p, z)
+    return bool(np.all(a > 0.0) and np.all(np.isfinite(a)) and np.all(np.isfinite(partials)))
+
+
+@pytest.mark.parametrize("a_t, sigma, r, tau, accepted", [
+    (1e308, 0.4, 0.0, 1.0, False),       # A_T overflows at the top normal
+    (4e306, 0.4, 0.0, 1.0, False),       # A_T is finite there, dA_T/dsigma is not
+    (1.4683e307, 0.03, 0.0, 1.0, False),  # |dA_T/dsigma| peaks inside the range
+    (1.45e307, 0.03, 0.0, 1.0, True),
+    (1.0, 40.0, 0.0, 1.0, False),        # A_T underflows to 0 at the bottom normal
+    (1.0, 14.0, 0.0, 1.0, True),
+    (5e-324, 0.4, 0.0, 1.0, False),
+    (1e300, 0.4, 0.0, 1.0, True),
+    (1e-300, 0.5, 0.0, 1e-300, True),
+    (1e300, 0.05, 0.03, 1e-3, True),
+])
+def test_params_accept_exactly_what_the_sampler_maps_to_finite_values(a_t, sigma, r, tau, accepted):
+    assert _sampled_range_is_finite(a_t, sigma, r, tau) == accepted
+    if accepted:
+        GbmParams(a_t=[a_t], sigma=[sigma], r=r, tau=tau, corr=np.eye(1))
+    else:
+        with pytest.raises(ValueError, match="firm 0: .* overflow or underflow"):
+            GbmParams(a_t=[a_t], sigma=[sigma], r=r, tau=tau, corr=np.eye(1))
+
+
+def test_params_range_check_follows_the_cholesky_mixing():
+    # a correlation of -0.9 stretches firm 1's correlated normals to about
+    # [-23.74, 37.35], so a spot the independent model accepts overflows
+    kw = dict(a_t=[1.0, 1e200], sigma=[0.4, 8.0], r=0.0, tau=1.0)
+    GbmParams(**kw, corr=np.eye(2))
+    with pytest.raises(ValueError, match="firm 1: .* normals in \\[-23.74, 37.35\\]"):
+        GbmParams(**kw, corr=np.array([[1.0, -0.9], [-0.9, 1.0]]))
 
 
 def test_params_reject_bad_correlation():

@@ -1,7 +1,11 @@
 """Monte Carlo engine: oracle agreement, derivative checks, determinism."""
 
+import ctypes
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -341,3 +345,68 @@ def test_chunk_moments_are_accurate_on_a_large_offset():
         assert abs(mean - want) <= 1e-14 * abs(want)
         want_m2 = math.fsum((v - want) ** 2 for v in row)
         assert abs(m2 - want_m2) <= 1e-12 * want_m2
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _python(code: str) -> str:
+    # a fresh interpreter: no earlier test has touched its heap or its ctypes
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": str(SRC)})
+    return proc.stdout
+
+
+def _has_mallopt() -> bool:
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):
+        return False
+
+
+@pytest.mark.skipif(not _has_mallopt(), reason="the C library has no mallopt")
+def test_warm_chunks_do_not_fault_their_memory_in_again():
+    # with glibc's default thresholds each 8192-draw chunk hands its few MiB
+    # back to the kernel and the next faults them in: about 3,000 minor
+    # faults for these three calls, against none with the pinned thresholds
+    faults = int(_python(
+        "import resource\n"
+        "from netgreeks.mc import mc_greeks\n"
+        "from netgreeks.symmetric import SymmetricParams, symmetric_mc_inputs\n"
+        "net, gbm = symmetric_mc_inputs(SymmetricParams(w_s=0.2, w_d=0.3, d=1.0, a_t=1.0,\n"
+        "                                               sigma=0.3, r=0.0, tau=1.0), n=2)\n"
+        "for seed in range(2):\n"
+        "    mc_greeks(net, gbm, 8192, seed=seed)\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "for seed in range(3):\n"
+        "    mc_greeks(net, gbm, 8192, seed=seed)\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"))
+    assert faults <= 100
+
+
+def test_import_pins_heap_thresholds_where_mallopt_exists():
+    # M_MMAP_THRESHOLD (-3) = 16 * _CHUNK_BUDGET bytes, M_TRIM_THRESHOLD (-1)
+    # twice that; a C library without mallopt, or none loadable by CDLL(None)
+    # as on Windows, leaves the import quiet
+    out = _python(
+        "import ctypes, importlib\n"
+        "calls = []\n"
+        "class Libc:\n"
+        "    def __init__(self, name):\n"
+        "        assert name is None\n"
+        "    def mallopt(self, param, value):\n"
+        "        calls.append((param, value))\n"
+        "class NoMallopt:\n"
+        "    def __init__(self, name):\n"
+        "        pass\n"
+        "class NoLibrary:\n"
+        "    def __init__(self, name):\n"
+        "        raise TypeError('LoadLibrary() argument 1 must be str, not None')\n"
+        "ctypes.CDLL = Libc\n"
+        "import netgreeks.mc as mc\n"
+        "print(calls, mc._CHUNK_BUDGET)\n"
+        "for stub in (NoMallopt, NoLibrary):\n"
+        "    ctypes.CDLL = stub\n"
+        "    importlib.reload(mc)\n"
+        "print(len(calls))\n")
+    assert out.split("\n")[:2] == ["[(-3, 33554432), (-1, 67108864)] 2097152", "2"]
