@@ -5,6 +5,9 @@ Prints `sha256  name` lines for:
 
 - the six shipped configs with a golden file under out/ (the full
   er_sweep_quick among them), run in process, each to a temporary file;
+- greeks_example and price_example again with r = 0.05 and tau = 1.5
+  replaced in the config dict, since every shipped config has r = 0 and
+  so cannot see a change to the discounting;
 - the outputs of perfbench's cli_small pass, its shipped configs run as
   CLI subprocesses;
 - variants 0-7 of perfbench's sym_grid_mc and er_sweep_n60 passes, one
@@ -35,6 +38,9 @@ from netgreeks.experiments import ExperimentConfig, run_experiment  # noqa: E402
 
 SHIPPED = ["symmetric_grid", "two_firm", "price_example", "greeks_example", "local_compare",
            "er_sweep_quick"]
+# shipped configs run again at a nonzero rate, with these keys replaced
+RATED = ["greeks_example", "price_example"]
+RATE = {"r": 0.05, "tau": 1.5}
 
 
 def _run_quietly(cfg, out: Path) -> str:
@@ -60,6 +66,11 @@ def main() -> None:
         for name in SHIPPED:
             cfg = ExperimentConfig.from_json(ROOT / "configs" / f"{name}.json")
             print(f"{_run_quietly(cfg, tmp / name)}  configs/{name}.json", flush=True)
+        for name in RATED:
+            obj = json.loads((ROOT / "configs" / f"{name}.json").read_text())
+            cfg = ExperimentConfig.from_dict(dict(obj, **RATE))
+            print(f"{_run_quietly(cfg, tmp / name)}  configs/{name}.json r=0.05 tau=1.5",
+                  flush=True)
 
         cli = workloads.make("cli_small", "full", tmp)
         cli.prepare()

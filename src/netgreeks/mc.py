@@ -16,6 +16,11 @@ sums along the contiguous draw axis (Higham, 1993).
 Per-chunk moments are combined with a pairwise merge in deterministic order,
 so results are bit-identical for any thread count.
 
+The discount e^{-r tau} is one constant: chunks accumulate undiscounted
+statistics (rho's draw is dx*/da dA_T/dr - tau x*, theta's
+-(dx*/da dA_T/dtau - r x*)), and each merged mean and SE but those of pi and
+default_prob is multiplied by it once, so a constant statistic has SE 0.
+
 Importing this module pins two glibc malloc thresholds, once, where the C
 library has ``mallopt`` (elsewhere it does nothing).  By default glibc serves
 blocks of 128 KiB or more by mmap and trims the heap top back to the kernel
@@ -174,7 +179,8 @@ class GreekReport(_Report):
     the k portfolios instead of the 2n claims: price, theta, rho,
     delta_uniform and vega_uniform have length k, delta and vega are
     (k, n), and pi and delta_total sum over the portfolios (pi = 1' W dx*/da).
-    n stays the number of firms.
+    n stays the number of firms.  No weights means W = I_2n, the claims
+    themselves.
     """
 
     n: int
@@ -210,7 +216,7 @@ def _at_draw(exc: ConvergenceError, start: int) -> ConvergenceError:
 
 
 def _mc_chunk(net, gbm, cfg, seed, draws, want_greeks, weights, start):
-    # the chunk of the draws-draw run that begins at draw start
+    # the chunk of the draws-draw run that begins at draw start, undiscounted
     z = normal_variates(seed, min(_chunk_size(gbm.n), draws - start), gbm.n, start=start)
     if want_greeks:
         a_T, (da_t, dsigma, dr, dtau) = _terminal_with_partials(gbm, z)
@@ -222,32 +228,28 @@ def _mc_chunk(net, gbm, cfg, seed, draws, want_greeks, weights, start):
         raise _at_draw(exc, start) from exc
     d = net.d[:, None]
     boundary = int(np.any(np.abs(sol.v.T - d) <= _BOUNDARY_REL * d, axis=0).sum())
-    x = np.vstack([sol.s.T, sol.r.T])
-    if weights is not None:
-        x = weights @ x
-    disc = np.exp(-gbm.r * gbm.tau)
+    x = weights @ np.vstack([sol.s.T, sol.r.T])
 
-    out = {"price": disc * x}
+    out = {"price": x}
     if want_greeks:
         out["solvent"] = sol.xi.T
         # (k, n, B), the C-contiguous array behind dxda_batch's (B, k, n) view
         dxda = dxda_batch(net, sol.xi, weights=weights).transpose(1, 2, 0)
-        delta = dxda * (disc * da_t)
-        vega = dxda * (disc * dsigma)
-        out["delta"] = delta
-        out["vega"] = vega
+        out["delta"] = delta = dxda * da_t
+        out["vega"] = vega = dxda * dsigma
         out["delta_total"] = delta.sum(axis=0)
         out["delta_uniform"] = delta.sum(axis=1)
         out["vega_uniform"] = vega.sum(axis=1)
         # rho and theta carry the discount-factor derivative alongside the
         # pathwise term; theta is quoted as -d(price)/d(tau)
-        out["rho"] = disc * (-gbm.tau * x + np.einsum("kjb,jb->kb", dxda, dr))
-        out["theta"] = -disc * (-gbm.r * x + np.einsum("kjb,jb->kb", dxda, dtau))
+        out["rho"] = np.einsum("kjb,jb->kb", dxda, dr) - gbm.tau * x
+        out["theta"] = -(np.einsum("kjb,jb->kb", dxda, dtau) - gbm.r * x)
         out["pi"] = dxda.sum(axis=0)
     return {name: _RunningStat.from_samples(arr) for name, arr in out.items()}, boundary
 
 
 def _run_chunks(net, gbm, draws, seed, cfg, want_greeks, threads, weights):
+    """Merged estimates by name, each mean next to its ``_se``, and the boundary hits."""
     if net.n != gbm.n:
         raise ValueError(f"network has {net.n} firms, asset model has {gbm.n}")
     if draws < 2:
@@ -255,18 +257,25 @@ def _run_chunks(net, gbm, draws, seed, cfg, want_greeks, threads, weights):
     results = _ordered_map(partial(_mc_chunk, net, gbm, cfg, seed, draws, want_greeks, weights),
                            range(0, draws, _chunk_size(gbm.n)), threads)
 
-    names = results[0][0].keys()
-    stats = {name: _tree_merge([res[0][name] for res in results]) for name in names}
-    boundary = sum(res[1] for res in results)
-    return stats, boundary
+    disc = np.exp(-gbm.r * gbm.tau)
+    estimates = {}
+    for name in results[0][0]:
+        stat = _tree_merge([res[0][name] for res in results])
+        mean, se = stat.mean, stat.se
+        if name == "solvent":
+            name, mean = "default_prob", 1.0 - mean
+        elif name != "pi":
+            mean, se = disc * mean, disc * se
+        estimates[name], estimates[f"{name}_se"] = mean, se
+    return estimates, sum(res[1] for res in results)
 
 
 def price_claims(net: FirmNetwork, gbm: GbmParams, draws: int, seed: int,
                  cfg: FixedPointConfig = DEFAULT_CONFIG, threads: int = 1) -> PriceResult:
     """Discounted claim prices by plain Monte Carlo."""
-    stats, boundary = _run_chunks(net, gbm, draws, seed, cfg, want_greeks=False,
-                                  threads=threads, weights=None)
-    return PriceResult(price=stats["price"].mean, se=stats["price"].se, draws=draws, seed=seed,
+    est, boundary = _run_chunks(net, gbm, draws, seed, cfg, want_greeks=False,
+                                threads=threads, weights=np.eye(2 * net.n))
+    return PriceResult(price=est["price"], se=est["price_se"], draws=draws, seed=seed,
                        boundary_hits=boundary, n=net.n)
 
 
@@ -284,14 +293,7 @@ def mc_greeks(net: FirmNetwork, gbm: GbmParams, draws: int, seed: int,
     (see GreekReport), and dx*/da is reduced by one transposed solve per
     distinct solvency pattern (``sensitivity.dxda_batch``).
     """
-    if weights is not None:
-        weights = _portfolio_weights(weights, net.n)
-    stats, boundary = _run_chunks(net, gbm, draws, seed, cfg, want_greeks=True,
-                                  threads=threads, weights=weights)
-    # chunks average solvency flags; one minus the merged mean is the default probability
-    solvent = stats.pop("solvent")
-    stats["default_prob"] = _RunningStat(solvent.count, 1.0 - solvent.mean, solvent.m2)
-    estimates = {}
-    for name, stat in stats.items():
-        estimates[name], estimates[f"{name}_se"] = stat.mean, stat.se
-    return GreekReport(n=net.n, draws=draws, seed=seed, boundary_hits=boundary, **estimates)
+    weights = np.eye(2 * net.n) if weights is None else _portfolio_weights(weights, net.n)
+    est, boundary = _run_chunks(net, gbm, draws, seed, cfg, want_greeks=True,
+                                threads=threads, weights=weights)
+    return GreekReport(n=net.n, draws=draws, seed=seed, boundary_hits=boundary, **est)

@@ -143,10 +143,10 @@ def _sweep_solve(net: FirmNetwork, solvent: np.ndarray, y: np.ndarray,
 
     y is (U, k, n) and holds c on entry.  The sweeps run on the (m, k, n)
     rows of the pending patterns, with one product with m_d per sweep and
-    one with m_s only if m_s != 0.  A pattern retires into y at the first
-    sweep that repeats its iterate bit for bit; retired rows leave the
-    product once they are a quarter of it.  Returns the patterns still
-    moving after _SWEEP_CAP sweeps.
+    one with m_s only if m_s != 0.  At the first sweep that repeats a
+    pattern's iterate bit for bit, the iterate is written into y and the
+    pattern's rows leave the sweeps.  Returns the patterns still moving
+    after _SWEEP_CAP sweeps.
     """
     n = net.n
     equity = np.any(net.m_s)
@@ -155,7 +155,6 @@ def _sweep_solve(net: FirmNetwork, solvent: np.ndarray, y: np.ndarray,
     held_s = solvent[pending][:, None, :]
     held_d = (~held_s).astype(float)
     it = c
-    retired = np.zeros(len(pending), dtype=bool)
     for _ in range(_SWEEP_CAP):
         flat = it.reshape(-1, n)
         nxt = (flat @ net.m_d).reshape(it.shape)
@@ -165,19 +164,15 @@ def _sweep_solve(net: FirmNetwork, solvent: np.ndarray, y: np.ndarray,
             nxt *= held_d
         nxt += c
         repeated = (nxt == it).all(axis=(1, 2))
-        repeated &= ~retired
         if repeated.any():
             y[pending[repeated]] = nxt[repeated]
-            retired |= repeated
-            if 4 * retired.sum() >= retired.size:
-                moving = ~retired
-                pending = pending[moving]
-                if not pending.size:
-                    return pending
-                nxt, c, held_s, held_d = nxt[moving], c[moving], held_s[moving], held_d[moving]
-                retired = retired[moving]
+            moving = ~repeated
+            pending = pending[moving]
+            if not pending.size:
+                break
+            nxt, c, held_s, held_d = nxt[moving], c[moving], held_s[moving], held_d[moving]
         it = nxt
-    return pending[~retired]
+    return pending
 
 
 def _factor_solve(net: FirmNetwork, solvent: np.ndarray, live: np.ndarray, y: np.ndarray,

@@ -159,6 +159,17 @@ def random_network(rng, n, cap=0.9, debt_only=False, density=0.6):
     return FirmNetwork(m_s=m_s, m_d=m_d, d=d)
 
 
+def random_correlation(rng, n):
+    """A random full-rank n x n correlation matrix."""
+    b = rng.normal(size=(n, n + 1))
+    cov = b @ b.T
+    scale = 1.0 / np.sqrt(np.diag(cov))
+    corr = cov * scale[:, None] * scale[None, :]
+    corr = 0.5 * (corr + corr.T)
+    np.fill_diagonal(corr, 1.0)
+    return corr
+
+
 def random_interior_scenario(rng, n, cap=0.9, debt_only=False, margin=1e-3,
                              tries=50):
     """Network and assets whose fixed point sits away from every default boundary."""

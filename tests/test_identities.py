@@ -22,7 +22,7 @@ from netgreeks.gbm import GbmParams
 from netgreeks.mc import mc_greeks
 from netgreeks.symmetric import SymmetricParams, symmetric_greeks, symmetric_price
 
-from helpers import MULTI_A0_SWEEP, random_network
+from helpers import MULTI_A0_SWEEP, random_correlation, random_network
 
 # relative to the largest term on either side of an identity
 ROUNDING = 1e-13
@@ -42,16 +42,6 @@ def _residuals(price, delta_a, vega_sigma, theta, rho, r, tau):
             np.abs(theta - theta_want) / np.maximum(theta_scale, 1e-300))
 
 
-def _correlation(rng, n):
-    b = rng.normal(size=(n, n + 1))
-    cov = b @ b.T
-    scale = 1.0 / np.sqrt(np.diag(cov))
-    corr = cov * scale[:, None] * scale[None, :]
-    corr = 0.5 * (corr + corr.T)
-    np.fill_diagonal(corr, 1.0)
-    return corr
-
-
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4),
        r=st.floats(0.01, 0.1), tau=st.floats(0.3, 3.0).filter(lambda t: abs(t - 1.0) > 0.05),
@@ -62,7 +52,7 @@ def test_greek_report_rho_and_theta_identities(seed, n, r, tau, weighted):
     net = random_network(rng, n)
     a_t = rng.uniform(0.5, 2.0, n)
     sigma = rng.uniform(0.1, 0.7, n)
-    gbm = GbmParams(a_t=a_t, sigma=sigma, r=r, tau=tau, corr=_correlation(rng, n))
+    gbm = GbmParams(a_t=a_t, sigma=sigma, r=r, tau=tau, corr=random_correlation(rng, n))
     weights = rng.normal(size=(3, 2 * n)) if weighted else None
     rep = mc_greeks(net, gbm, 400, seed=seed, weights=weights)
     rho_err, theta_err = _residuals(rep.price, rep.delta @ a_t, rep.vega @ sigma,

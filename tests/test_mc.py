@@ -198,6 +198,18 @@ def test_price_claims_agrees_with_greek_report():
     assert pr.draws == 3000 and pr.seed == 13
 
 
+def test_constant_statistic_has_zero_se_at_nonzero_rate():
+    # no draw defaults, so each debt claim pays d and its price and rho are
+    # constant over the draws; discounted once, after the merge, their SE
+    # is exactly 0 at r != 0 (a per-draw discount leaves a rounding residue)
+    p = SymmetricParams(w_s=0.3, w_d=0.0, d=1.0, a_t=1.6, sigma=0.1, r=0.05, tau=1.5)
+    net, gbm = symmetric_mc_inputs(p, n=2)
+    rep = mc_greeks(net, gbm, 20_000, seed=7)
+    assert np.all(rep.price_se[2:] == 0.0) and np.all(rep.rho_se[2:] == 0.0)
+    assert np.all(price_claims(net, gbm, 20_000, seed=7).se[2:] == 0.0)
+    assert np.all(rep.price_se[:2] > 0.0) and np.all(rep.rho_se[:2] > 0.0)
+
+
 def test_boundary_draws_are_counted():
     # sigma ~ 0 parks every terminal value on the default boundary
     net, gbm = _merton_inputs(a_t=1.0, sigma=1e-12, r=0.0, d=1.0)
