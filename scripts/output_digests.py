@@ -8,6 +8,10 @@ Prints `sha256  name` lines for:
 - greeks_example and price_example again with r = 0.05 and tau = 1.5
   replaced in the config dict, since every shipped config has r = 0 and
   so cannot see a change to the discounting;
+- mc_greeks on the equity network symmetric_network(12, 0.3, 0.4), run in
+  process, with the two block-average portfolios (its patterns go to the
+  sensitivity sweeps) and without weights (to the stacked LU), since every
+  shipped equity network is too small to reach the sweeps;
 - the outputs of perfbench's cli_small pass, its shipped configs run as
   CLI subprocesses;
 - variants 0-7 of perfbench's sym_grid_mc and er_sweep_n60 passes, one
@@ -33,8 +37,12 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
+import numpy as np  # noqa: E402
 import workloads  # noqa: E402
 from netgreeks.experiments import ExperimentConfig, run_experiment  # noqa: E402
+from netgreeks.gbm import GbmParams  # noqa: E402
+from netgreeks.mc import mc_greeks  # noqa: E402
+from netgreeks.network import symmetric_network  # noqa: E402
 
 SHIPPED = ["symmetric_grid", "two_firm", "price_example", "greeks_example", "local_compare",
            "er_sweep_quick"]
@@ -48,6 +56,17 @@ def _run_quietly(cfg, out: Path) -> str:
     with open(os.devnull, "w") as sink, contextlib.redirect_stderr(sink):
         run_experiment(cfg, out=out)
     return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+def _equity_digests():
+    """(sha256, label) of mc_greeks' JSON on a 12-firm equity network, swept and factored."""
+    n = 12
+    net = symmetric_network(n, 0.3, 0.4)
+    gbm = GbmParams(a_t=np.ones(n), sigma=np.full(n, 0.4), r=0.03, tau=1.0, corr=np.eye(n))
+    block_average = np.kron(np.eye(2), np.full((1, n), 1.0 / n))
+    for weights, label in ((block_average, "block_average_swept"), (None, "no_weights_factored")):
+        payload = mc_greeks(net, gbm, 4000, 5, weights=weights).to_dict()
+        yield hashlib.sha256(json.dumps(payload, indent=2).encode()).hexdigest(), label
 
 
 def _pass_digests(workload, variant) -> list[str]:
@@ -71,6 +90,8 @@ def main() -> None:
             cfg = ExperimentConfig.from_dict(dict(obj, **RATE))
             print(f"{_run_quietly(cfg, tmp / name)}  configs/{name}.json r=0.05 tau=1.5",
                   flush=True)
+        for digest, label in _equity_digests():
+            print(f"{digest}  mc_greeks/symmetric12/{label}", flush=True)
 
         cli = workloads.make("cli_small", "full", tmp)
         cli.prepare()

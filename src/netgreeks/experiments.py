@@ -257,8 +257,10 @@ def _gbm_from_config(cfg: ExperimentConfig, n: int, a_t) -> GbmParams:
     # n firms at spots a_t with cfg's sigma, r, tau and corr; a single a_t or
     # sigma applies to every firm
     with _config_errors("asset model"):
-        a_t, sigma = (np.full(n, v[0]) if len(v) == 1 else np.asarray(v, dtype=float)
-                      for v in (a_t, cfg.sigma))
+        for key, values in (("a_t", a_t), ("sigma", cfg.sigma)):
+            if len(values) not in (1, n):
+                raise ValueError(f"{key}: expected 1 or {n} values, got {len(values)}")
+        a_t, sigma = (np.broadcast_to(v, (n,)) for v in (a_t, cfg.sigma))
         corr = np.eye(n) if cfg.corr is None else np.asarray(cfg.corr, dtype=float)
         return GbmParams(a_t=a_t, sigma=sigma, r=cfg.r, tau=cfg.tau, corr=corr)
 

@@ -21,7 +21,8 @@ one transposed solve in place of the full inverse (the adjoint method of
 Giles & Glasserman, 2006).
 
 Only part of A(xi) needs a solve.  Column j of A(xi) is e_j - h_j, where
-h_j = m_s[:, j] if firm j is solvent and m_d[:, j] if not.  Where h_j = 0
+h_j = m_s[:, j] if firm j is solvent and m_d[:, j] if not (``_times_h``
+applies this rule, and skips m_s on a pure-debt network).  Where h_j = 0
 (every solvent firm of a pure-debt network, and every firm that nobody
 holds) it is an identity column.  With J the live firms (h_j != 0), P the
 rest and H the selected holdings, the adjoint system splits into
@@ -137,31 +138,37 @@ _SWEEP_MAX_RHS = 4
 _SWEEP_CAP = 64
 
 
+def _times_h(net: FirmNetwork, solvent: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """y H(xi) for (m, k, n) rows y and (m, n) bool patterns -> (m, k, n).
+
+    Column j of H(xi) is m_s[:, j] where firm j is solvent and m_d[:, j]
+    where it is not; when m_s = 0 the solvent columns are zeroed instead.
+    """
+    flat = y.reshape(-1, net.n)
+    out = (flat @ net.m_d).reshape(y.shape)
+    held_s = solvent[:, None, :]
+    if np.any(net.m_s):
+        np.copyto(out, (flat @ net.m_s).reshape(y.shape), where=held_s)
+    else:
+        out *= ~held_s
+    return out
+
+
 def _sweep_solve(net: FirmNetwork, solvent: np.ndarray, y: np.ndarray,
                  pending: np.ndarray) -> np.ndarray:
     """y = A(xi)^{-T} c by the sweeps y <- c + B(xi)^T y from y = c, for the patterns pending.
 
     y is (U, k, n) and holds c on entry.  The sweeps run on the (m, k, n)
-    rows of the pending patterns, with one product with m_d per sweep and
-    one with m_s only if m_s != 0.  At the first sweep that repeats a
-    pattern's iterate bit for bit, the iterate is written into y and the
-    pattern's rows leave the sweeps.  Returns the patterns still moving
-    after _SWEEP_CAP sweeps.
+    rows of the pending patterns, one product y H(xi) per sweep
+    (``_times_h``).  At the first sweep that repeats a pattern's iterate
+    bit for bit, the iterate is written into y and the pattern's rows leave
+    the sweeps.  Returns the patterns still moving after _SWEEP_CAP sweeps.
     """
-    n = net.n
-    equity = np.any(net.m_s)
     c = y[pending]
-    # firm j's column of B(xi) comes from m_s where it is solvent, else m_d
-    held_s = solvent[pending][:, None, :]
-    held_d = (~held_s).astype(float)
+    solvent = solvent[pending]
     it = c
     for _ in range(_SWEEP_CAP):
-        flat = it.reshape(-1, n)
-        nxt = (flat @ net.m_d).reshape(it.shape)
-        if equity:
-            np.copyto(nxt, (flat @ net.m_s).reshape(it.shape), where=held_s)
-        else:
-            nxt *= held_d
+        nxt = _times_h(net, solvent, it)
         nxt += c
         repeated = (nxt == it).all(axis=(1, 2))
         if repeated.any():
@@ -170,7 +177,7 @@ def _sweep_solve(net: FirmNetwork, solvent: np.ndarray, y: np.ndarray,
             pending = pending[moving]
             if not pending.size:
                 break
-            nxt, c, held_s, held_d = nxt[moving], c[moving], held_s[moving], held_d[moving]
+            nxt, c, solvent = nxt[moving], c[moving], solvent[moving]
         it = nxt
     return pending
 
@@ -182,30 +189,18 @@ def _factor_solve(net: FirmNetwork, solvent: np.ndarray, live: np.ndarray, y: np
     y is (U, k, n) and holds c on entry.
     """
     n = net.n
-    equity = np.any(net.m_s)
     live = live[patterns]
     c = y[patterns]
-    # c_J + H_PJ^T c_P on the live rows; H = m_d there when m_s = 0
-    c_p = np.where(live[:, None, :], 0.0, c).reshape(-1, n)
-    held = (c_p @ net.m_d).reshape(c.shape)
-    if equity:
-        np.copyto(held, (c_p @ net.m_s).reshape(c.shape), where=solvent[patterns][:, None, :])
-    rhs = c + held
+    # c_J + H_PJ^T c_P on the live rows
+    rhs = c + _times_h(net, solvent[patterns], np.where(live[:, None, :], 0.0, c))
     # firm j's column of m_d, then of m_s, as rows j and n + j, flattened
-    h_t = (np.concatenate([net.m_d.T, net.m_s.T]) if equity else net.m_d.T).ravel()
-    # patterns by |J|, and their live firms in that order, width by width
+    h_t = np.concatenate([net.m_d.T, net.m_s.T]).ravel()
     size = live.sum(axis=1)
-    order = np.argsort(size, kind="stable")
-    firms = np.nonzero(live[order])[1]
-    counts = np.bincount(size)
-    first = at = 0
-    for width in np.flatnonzero(counts):
-        group = order[first:first + counts[width]]
-        J = firms[at:at + group.size * width].reshape(group.size, width)
-        first += group.size
-        at += J.size
+    for width in np.flatnonzero(np.bincount(size)):
+        group = np.flatnonzero(size == width)
+        J = np.nonzero(live[group])[1].reshape(group.size, width)
         # lhs[g, a, b] = [a == b] - H[J_b, J_a], the block (I - H_JJ)^T
-        start = (solvent[patterns[group, None], J] * n + J) * n if equity else J * n
+        start = (solvent[patterns[group, None], J] * n + J) * n
         lhs = -h_t[start[:, :, None] + J[:, None, :]]
         lhs[:, np.arange(width), np.arange(width)] += 1.0
         try:
@@ -228,12 +223,14 @@ def _adjoint_solve(net: FirmNetwork, solvent: np.ndarray, c: np.ndarray) -> np.n
     after _SWEEP_CAP sweeps, and every other block, by one stacked LU per
     size |J| (``_factor_solve``), where a singular block is named by its
     pattern and live firms.  Which path a pattern takes depends on the
-    pattern and k alone, never on the rest of the batch.  The sweeps add up
-    the Neumann series c + B^T c + (B^T)^2 c + ..., which converges because
-    B(xi) has spectral radius below one, until a sweep changes no bit: the
-    swept y then satisfies y = c + B(xi)^T y to rounding, as the LU solution
-    does.  A singular block has no such fixed point unless its right-hand
-    side is zero, so it reaches the LU and raises.
+    pattern and k alone, never on the rest of the batch.  Both paths take
+    their products with H(xi) from ``_times_h``; the LU's gather of
+    (I - H_JJ)^T needs no pure-debt case, as every live firm is insolvent
+    there.  The sweeps add up the Neumann series c + B^T c + (B^T)^2 c +
+    ..., which converges because B(xi) has spectral radius below one, until
+    a sweep changes no bit: the swept y then satisfies y = c + B(xi)^T y to
+    rounding, as the LU solution does.  A singular block has no such fixed
+    point unless its right-hand side is zero, so it reaches the LU and raises.
     """
     live = _live(net, solvent)
     size = live.sum(axis=1)

@@ -573,3 +573,15 @@ def test_seed_out_of_range_is_config_error(tmp_path, capsys, kind, seed):
     assert main([kind, "--config", cfg, "--out", str(out), "--seed", seed]) == 2
     assert "config error: seed must lie in" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["greeks", "price", "local-compare"])
+def test_asset_model_for_another_firm_count_is_config_error(tmp_path, capsys, kind):
+    # a_t, sigma and corr agree on 2 firms and the network has 3: this exited 1
+    # with a traceback from the sampler, or a numpy matmul error for local-compare
+    cfg = _write(tmp_path, "cfg.json", {"kind": kind, **SMALL[kind], "a_t": [1.0, 1.1],
+                                        "sigma": [0.4, 0.3], "corr": [[1.0, 0.2], [0.2, 1.0]]})
+    out = tmp_path / "out"
+    assert main([kind, "--config", cfg, "--out", str(out)]) == 2
+    assert "bad asset model: a_t: expected 1 or 3 values, got 2" in capsys.readouterr().err
+    assert not out.exists()

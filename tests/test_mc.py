@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,8 +15,13 @@ import pytest
 import netgreeks as ng
 import netgreeks.mc as mc
 from netgreeks.experiments import ExperimentConfig, run_local_compare
-from netgreeks.fixpoint import ConvergenceError, FixedPointConfig
-from netgreeks.gbm import GbmParams
+from netgreeks.fixpoint import (
+    DEFAULT_CONFIG,
+    ConvergenceError,
+    FixedPointConfig,
+    solve_claims_batch,
+)
+from netgreeks.gbm import GbmParams, normal_variates, sample_terminal
 from netgreeks.mc import GreekReport, _chunk_size, _RunningStat, mc_greeks, price_claims
 from netgreeks.symmetric import (
     SymmetricParams,
@@ -108,35 +114,64 @@ def test_symmetric_network_matches_closed_form():
         assert abs(rep.pi[i] - (symmetric_pi(p) + 1.0)) <= 3 * rep.pi_se[i]
 
 
+def _crn_difference(net, gbm, draws, seed, field, h, firm=None, cfg=DEFAULT_CONFIG):
+    """Central difference of the prices in gbm.<field>, or in its firm-th entry, at frozen normals.
+
+    With frozen normals the pathwise estimator should be the exact
+    derivative of the frozen price, up to O(h^2), as long as no draw
+    crosses the default boundary: no draw may change its solvency pattern
+    between the two sides.
+    """
+    step = h if firm is None else h * np.eye(net.n)[firm]
+    lo, hi = (replace(gbm, **{field: getattr(gbm, field) + sign * step}) for sign in (-1.0, 1.0))
+    z = normal_variates(seed, draws, net.n)
+    np.testing.assert_array_equal(solve_claims_batch(net, sample_terminal(lo, z), cfg).xi,
+                                  solve_claims_batch(net, sample_terminal(hi, z), cfg).xi)
+    return (price_claims(net, hi, draws, seed, cfg=cfg).price
+            - price_claims(net, lo, draws, seed, cfg=cfg).price) / (2 * h)
+
+
 def test_pathwise_greeks_match_common_random_number_differences():
-    # with frozen normals the estimator should be the exact derivative of
-    # the frozen price, up to O(h^2), as long as no draw crosses the
-    # default boundary
     net = ng.symmetric_network(2, 0.2, 0.4)
-    corr = np.array([[1.0, 0.3], [0.3, 1.0]])
-    base = dict(a_t=np.array([1.0, 1.1]), sigma=np.array([0.4, 0.3]),
-                r=0.03, tau=1.2)
-    gbm = GbmParams(corr=corr, **base)
+    gbm = GbmParams(a_t=[1.0, 1.1], sigma=[0.4, 0.3], r=0.03, tau=1.2,
+                    corr=np.array([[1.0, 0.3], [0.3, 1.0]]))
     draws, seed = 400, 77
     rep = mc_greeks(net, gbm, draws, seed)
-
-    def price(**kw):
-        fields = dict(base, corr=corr)
-        fields.update(kw)
-        return price_claims(net, GbmParams(**fields), draws, seed).price
-
     h = 1e-5
     for j in range(2):
-        e = np.zeros(2)
-        e[j] = h
-        fd = (price(a_t=base["a_t"] + e) - price(a_t=base["a_t"] - e)) / (2 * h)
+        fd = _crn_difference(net, gbm, draws, seed, "a_t", h, firm=j)
         np.testing.assert_allclose(fd, rep.delta[:, j], rtol=1e-5, atol=1e-8)
-        fd = (price(sigma=base["sigma"] + e) - price(sigma=base["sigma"] - e)) / (2 * h)
+        fd = _crn_difference(net, gbm, draws, seed, "sigma", h, firm=j)
         np.testing.assert_allclose(fd, rep.vega[:, j], rtol=1e-5, atol=1e-8)
-    fd = (price(r=base["r"] + h) - price(r=base["r"] - h)) / (2 * h)
+    fd = _crn_difference(net, gbm, draws, seed, "r", h)
     np.testing.assert_allclose(fd, rep.rho, rtol=1e-5, atol=1e-8)
-    fd = (price(tau=base["tau"] + h) - price(tau=base["tau"] - h)) / (2 * h)
+    fd = _crn_difference(net, gbm, draws, seed, "tau", h)
     np.testing.assert_allclose(-fd, rep.theta, rtol=1e-5, atol=1e-8)
+
+
+@pytest.mark.parametrize("net, block_average", [
+    (ng.symmetric_network(12, 0.3, 0.4), True),
+    (ng.symmetric_network(12, 0.3, 0.4), False),
+    (ng.er_network(60, 3.0, 0.4, seed=2), True),
+], ids=["symmetric12-swept", "symmetric12-factored", "er60-swept-and-factored"])
+def test_pathwise_greeks_match_common_random_number_differences_in_both_kernel_paths(
+        net, block_average):
+    # the n = 2 case above factors every pattern.  Every firm of the 12-firm
+    # equity network is live, so its patterns go to the sensitivity sweeps
+    # with the two block-average portfolios and to the stacked LU with
+    # dx*/da's 24 rows; the n = 60 debt network's go to both, by |J|
+    n = net.n
+    weights = np.kron(np.eye(2), np.full((1, n), 1.0 / n)) if block_average else np.eye(2 * n)
+    gbm = GbmParams(a_t=np.ones(n), sigma=np.full(n, 0.4), r=0.03, tau=1.0, corr=np.eye(n))
+    cfg = FixedPointConfig(tol=1e-14)
+    draws, seed, h = 2000, 5, 1e-6
+    rep = mc_greeks(net, gbm, draws, seed, cfg=cfg, weights=weights)
+    for j in (0, 5):
+        for field, greek, gate in (("a_t", rep.delta, 1e-7), ("sigma", rep.vega, 1e-6)):
+            fd = weights @ _crn_difference(net, gbm, draws, seed, field, h, firm=j, cfg=cfg)
+            # relative to the column's largest entry
+            column = greek[:, j]
+            assert np.abs(fd - column).max() <= gate * np.abs(column).max(), (field, j)
 
 
 def test_bit_reproducible_across_threads_and_runs():
