@@ -12,6 +12,10 @@ Prints `sha256  name` lines for:
   process, with the two block-average portfolios (its patterns go to the
   sensitivity sweeps) and without weights (to the stacked LU), since every
   shipped equity network is too small to reach the sweeps;
+- mc_greeks on an n = 60 Erdos-Renyi network whose firm 0 has its debt
+  held in full by firm 1, run in process with the er-sweep portfolios: a
+  column sum of one leaves the pattern certificate void, so its Greek
+  chunks solve every draw to tol and price the solved claims;
 - the outputs of perfbench's cli_small pass, its shipped configs run as
   CLI subprocesses;
 - variants 0-7 of perfbench's sym_grid_mc and er_sweep_n60 passes, one
@@ -42,7 +46,7 @@ import workloads  # noqa: E402
 from netgreeks.experiments import ExperimentConfig, run_experiment  # noqa: E402
 from netgreeks.gbm import GbmParams  # noqa: E402
 from netgreeks.mc import mc_greeks  # noqa: E402
-from netgreeks.network import symmetric_network  # noqa: E402
+from netgreeks.network import FirmNetwork, er_network, symmetric_network  # noqa: E402
 
 SHIPPED = ["symmetric_grid", "two_firm", "price_example", "greeks_example", "local_compare",
            "er_sweep_quick"]
@@ -69,6 +73,20 @@ def _equity_digests():
         yield hashlib.sha256(json.dumps(payload, indent=2).encode()).hexdigest(), label
 
 
+def _fallback_digest() -> str:
+    """sha256 of mc_greeks' JSON on an n = 60 network with one debt held in full."""
+    n = 60
+    net = er_network(n, 3.0, 0.4, seed=2)
+    m_d = net.m_d.copy()
+    m_d[:, 0] = 0.0
+    m_d[1, 0] = 1.0
+    net = FirmNetwork(m_s=net.m_s, m_d=m_d, d=net.d)
+    gbm = GbmParams(a_t=np.ones(n), sigma=np.full(n, 0.4), r=0.03, tau=1.0, corr=np.eye(n))
+    weights = np.kron(np.eye(2), np.full((1, n), 1.0 / n))
+    payload = mc_greeks(net, gbm, 1200, 5, weights=weights).to_dict()
+    return hashlib.sha256(json.dumps(payload, indent=2).encode()).hexdigest()
+
+
 def _pass_digests(workload, variant) -> list[str]:
     """sha256 of each output of one perfbench pass; a failed operation stops the script."""
     res = workload.run_pass(variant)
@@ -92,6 +110,7 @@ def main() -> None:
                   flush=True)
         for digest, label in _equity_digests():
             print(f"{digest}  mc_greeks/symmetric12/{label}", flush=True)
+        print(f"{_fallback_digest()}  mc_greeks/er60_debt_held_in_full/fallback", flush=True)
 
         cli = workloads.make("cli_small", "full", tmp)
         cli.prepare()

@@ -25,6 +25,31 @@ check or has a firm value within tol of its debt, and every draw of a batch
 with too many patterns to polish, goes on with plain Picard from the second
 iterate, so the batch always meets tol and a tie v = d counts insolvent.
 
+A Greek run needs only each draw's xi: ``mc`` prices its draws through the
+dx*/da it solves anyway, and passes certify=True.  Then, in a batch too
+varied to polish, a draw stops Picard once its pattern is certified or it
+meets tol.  Picard rises from v_0 = min(d, a), and a sweep shrinks the 1-norm of
+the step in v by at least c, the largest column sum of m_s and m_d (each
+firm's |ds| + |dr| is its |dv|).  So for c < 1
+
+    ||v* - v_k||_1 <= c / (1 - c) ||v_k - v_{k-1}||_1 =: bound,
+
+and a draw is certified once every firm has v_k > d (1 + _BOUNDARY_REL),
+solvent, or v_k + bound < d (1 - _BOUNDARY_REL), insolvent.  Both tests
+also step over the rounding of the computed iterates, at most
+2 (n + 1) eps ||a||_1 / (1 - c)^2: one sweep sums 2n + 1 non-negative terms
+of a firm value, ||v*||_1 <= ||a||_1 / (1 - c), and the contraction adds
+up the sweeps' errors to at most 1 / (1 - c) of one.  The margin absorbs
+the rounding of the bound itself and keeps every certified draw out of the
+boundary band that ``mc`` counts as a hit; a tie v = d is never
+certified.  A network with c >= 1 - _SLACK certifies nothing.
+Done draws leave the sweeps once they are at least half of the draws
+still sweeping, so each sweep costs what its remaining draws cost.  A
+certified draw's claims are the iterate at which it left, so its residual
+may exceed tol; every other draw meets tol, and a draw that misses it
+raises ConvergenceError as before.  The certificate sweeps count against
+max_iter.
+
 The solver works draw-last, on C-contiguous (n, B) arrays, as ``mc`` does;
 its products with the holdings sum in the draw-major order (``_dot``), so
 an unpolished batch is bit for bit the plain draw-major Picard loop.
@@ -36,7 +61,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import FirmNetwork, _ArrayEq
+from .network import _SLACK, FirmNetwork, _ArrayEq
 from .sensitivity import _distinct_patterns, _forward_solve
 
 __all__ = [
@@ -51,8 +76,9 @@ __all__ = [
 class FixedPointConfig:
     """Stopping rule.
 
-    tol bounds the sup-norm residual ||g(x) - x|| of every returned row;
-    max_iter bounds the Picard sweeps, the first one plus any fallback.
+    tol bounds the sup-norm residual ||g(x) - x|| of every returned row
+    whose pattern is not certified; max_iter bounds the Picard sweeps, the
+    first one plus any fallback or certificate sweeps.
     """
 
     tol: float = 1e-12
@@ -66,6 +92,10 @@ class FixedPointConfig:
 
 
 DEFAULT_CONFIG = FixedPointConfig()
+
+# a draw is a boundary hit when some firm value lies within this fraction of
+# its debt (``mc``); a certified draw has every firm value outside it
+_BOUNDARY_REL = 1e-9
 
 
 class ConvergenceError(RuntimeError):
@@ -89,8 +119,13 @@ class BatchSolution(_ArrayEq):
     iterations counts map evaluations over the whole batch: the Picard
     sweeps (the first one plus any fallback) and, when the batch was
     polished, the one verifying sweep; the linear solves are not counted.
-    Without the polish it is the plain Picard count.  residuals is each
-    draw's ||g(x) - x||_inf at the returned claims, at most tol.
+    Without the polish it is the plain Picard count, certificate sweeps
+    included.  residuals is each draw's ||g(x) - x||_inf at the returned
+    claims, at most tol unless the draw is certified.  certified marks the
+    draws whose pattern xi is certified (see the module docstring), all
+    False unless the solve was asked to certify; a certified draw's claims
+    are the iterate at which it left the sweeps.  It is None only on a
+    solution built by hand.
     """
 
     s: np.ndarray            # (B, n)
@@ -99,6 +134,7 @@ class BatchSolution(_ArrayEq):
     xi: np.ndarray           # (B, n), floats in {0, 1}
     iterations: int
     residuals: np.ndarray    # (B,) final sup-norm per scenario
+    certified: np.ndarray | None = None   # (B,) bool, draws whose xi is certified
 
 
 def _dot(m, x):
@@ -106,19 +142,37 @@ def _dot(m, x):
     return (x.T @ m.T).T
 
 
-def _sweeps(net, a, s, r, tol, it, max_iter):
+def _sweeps(net, a, s, r, tol, it, max_iter, c=None):
     """Picard sweeps from (s, r) until every draw's step is <= tol or it reaches max_iter.
 
     it counts the map evaluations already spent.  Returns (s, r, v, step,
-    it): the iterate at which the step ||g(x) - x|| was measured, its firm
-    value and the per-firm step, all (n, B).  The caller checks convergence;
-    the next iterate is g(x) = (max(0, v - d), min(d, v)).  The sweeps
-    write into s and r, which the callers pass as fresh arrays.
+    it, certified): the iterate at which the step ||g(x) - x|| was measured,
+    its firm value and the per-firm step, all (n, B), and the (B,) mask of
+    draws whose solvency pattern is certified.  The caller checks
+    convergence; the next iterate is g(x) = (max(0, v - d), min(d, v)).  The
+    sweeps write into s and r, which the callers pass as fresh arrays.
+
+    With c, the contraction of ``_contraction``, every sweep also certifies
+    the draws it can (see the module docstring), and a draw is done once it
+    is certified or meets tol.  Once at least half of the draws still
+    sweeping are done they leave: their columns are kept as returned and
+    the sweeps go on over the rest.  Without c, certified is all False.
     """
-    d = net.d[:, None]
+    # d as a full (n, B) array: numpy's loops run slower with a broadcast column
+    d = np.repeat(net.d[:, None], a.shape[1], axis=1)
     # a debt-only network adds m_s s = +0.0 to a positive a, which is exact
     equity = np.any(net.m_s)
     v, s_new, r_new, step, gap = (np.empty_like(a) for _ in range(5))
+    certified = np.zeros(a.shape[1], dtype=bool)
+    if c is not None:
+        ratio = c / (1.0 - c)
+        # the rounding of the computed iterates (module docstring)
+        err = 2 * (net.n + 1) * np.finfo(float).eps / (1.0 - c) ** 2 * a.sum(axis=0)
+        lo, hi = d * (1.0 - _BOUNDARY_REL) - err, d * (1.0 + _BOUNDARY_REL) + err
+        above, below = (np.empty(a.shape, dtype=bool) for _ in range(2))
+        # the returned (s, r, v, step) once draws have left, and the batch
+        # columns of the draws still sweeping
+        out, cols = None, np.arange(a.shape[1])
     while True:
         if equity:
             np.add(a, _dot(net.m_s, s), out=v)
@@ -128,19 +182,60 @@ def _sweeps(net, a, s, r, tol, it, max_iter):
         np.maximum(0.0, np.subtract(v, d, out=s_new), out=s_new)
         np.minimum(d, v, out=r_new)
         np.abs(np.subtract(s_new, s, out=gap), out=gap)
-        np.maximum(gap, np.abs(np.subtract(r_new, r, out=step), out=step), out=step)
+        np.abs(np.subtract(r_new, r, out=step), out=step)
+        if c is not None:
+            # |ds| + |dr| = |dv| per firm, so this is ratio ||v_k - v_{k-1}||_1
+            bound = gap.sum(axis=0)
+            bound += step.sum(axis=0)
+            bound *= ratio
+        np.maximum(gap, step, out=step)
         it += 1
-        if step.max() <= tol or it >= max_iter:
-            return s, r, v, step, it
+        if c is None:
+            if step.max() <= tol or it >= max_iter:
+                return s, r, v, step, it, certified
+        else:
+            np.greater(v, hi, out=above)
+            np.less(v, np.subtract(lo, bound, out=gap), out=below)
+            certified[cols] |= np.logical_or(above, below, out=below).all(axis=0)
+            done = certified[cols] | (step.max(axis=0) <= tol)
+            if done.all() or it >= max_iter:
+                if out is None:
+                    return s, r, v, step, it, certified
+                for full, part in zip(out, (s, r, v, step)):
+                    full[:, cols] = part
+                return *out, it, certified
+            if 2 * np.count_nonzero(done) >= done.size:
+                if out is None:
+                    # the full-width arrays, whose done columns are in place
+                    out = s, r, v, step
+                else:
+                    for full, part in zip(out, (s, r, v, step)):
+                        full[:, cols[done]] = part[:, done]
+                keep = ~done
+                cols = cols[keep]
+                a, d, s_new, r_new, lo, hi = (x[:, keep] for x in (a, d, s_new, r_new, lo, hi))
+                s, r, v, step, gap = (np.empty_like(a) for _ in range(5))
+                above, below = (np.empty(a.shape, dtype=bool) for _ in range(2))
         s, s_new = s_new, s
         r, r_new = r_new, r
 
 
-def _convergence_error(net, v, step, cfg, rows):
+def _contraction(net):
+    """c, the largest column sum of m_s and m_d, rounded up; None when c >= 1 - _SLACK.
+
+    c is rounded up by n eps, at least the rounding of a sum of n
+    non-negative terms, so it is not below its exact value.
+    """
+    c = max(net.m_s.sum(axis=0).max(), net.m_d.sum(axis=0).max())
+    c *= 1.0 + net.n * np.finfo(float).eps
+    return c if c < 1.0 - _SLACK else None
+
+
+def _convergence_error(net, v, step, cfg, rows=None):
     """ConvergenceError at the worst draw of the last sweep; rows maps it to the batch."""
     resid = step.max(axis=0)
     worst = int(np.argmax(resid))
-    draw = int(rows[worst])
+    draw = worst if rows is None else int(rows[worst])
     firms = np.flatnonzero(step[:, worst] > cfg.tol).tolist()
     xi = "".join("1" if solvent else "0" for solvent in v[:, worst] > net.d)
     return ConvergenceError(
@@ -149,6 +244,22 @@ def _convergence_error(net, v, step, cfg, rows):
         f"unconverged firms {firms}, solvency pattern xi={xi})",
         draw=draw,
     )
+
+
+def _resume(net, a, first, cfg, it, c=None, rows=None):
+    """Picard sweeps resumed from the second iterate, which the first sweep's firm values give.
+
+    Returns what ``_sweeps`` returns and raises ConvergenceError if a draw
+    that is not certified misses tol; rows, if given, maps the draws to the
+    batch.
+    """
+    d = net.d[:, None]
+    sub = _sweeps(net, a, np.maximum(0.0, first - d), np.minimum(d, first),
+                  cfg.tol, it, cfg.max_iter, c)
+    late = (sub[3].max(axis=0) > cfg.tol) & ~sub[5]
+    if late.any():
+        raise _convergence_error(net, sub[2], sub[3] * late, cfg, rows)
+    return sub
 
 
 def _polish(net, a, solvent, inverse):
@@ -176,45 +287,51 @@ def _polish(net, a, solvent, inverse):
     return _sweeps(net, a, s, r, 0.0, 0, 1)[:4]
 
 
-def _picard(net, a, cfg):
+def _picard(net, a, cfg, certify):
     """Fixed point of every draw of an (n, B) batch: one sweep, then polish or more Picard.
 
-    Returns (s, r, v, xi, iterations, residuals), each array draw-last.  The
-    returned claims are the iterate at which the residual ||g(x) - x|| was
-    measured, so the post-condition ||x - g(a, x)||_inf <= tol holds exactly.
+    Returns (s, r, v, xi, iterations, residuals, certified), each array
+    draw-last.  The returned claims are the iterate at which the residual
+    ||g(x) - x|| was measured, so the post-condition ||x - g(a, x)||_inf <=
+    tol holds exactly for every draw that is not certified.  With certify,
+    a batch too varied to polish certifies its draws' patterns as it sweeps.
     """
     d = net.d[:, None]
     # one sweep from the start: max_iter = 1
-    s, r, v, step, it = _sweeps(net, a, np.zeros_like(a), np.minimum(d, a), 0.0, 0, 1)
-    rows = np.arange(a.shape[1])
+    s, r, v, step, it, certified = _sweeps(net, a, np.zeros_like(a), np.minimum(d, a),
+                                           0.0, 0, 1)
     if step.max() > cfg.tol:
         if it >= cfg.max_iter:
-            raise _convergence_error(net, v, step, cfg, rows)
-        first = v
-        solvent, inverse = _distinct_patterns((first > d).T)
-        polished = len(solvent) * net.n <= a.shape[1]
-        if polished:
+            raise _convergence_error(net, v, step, cfg)
+        solvent, inverse = _distinct_patterns((v > d).T)
+        if len(solvent) * net.n > a.shape[1]:
+            c = _contraction(net) if certify else None
+            s, r, v, step, it, certified = _resume(net, a, v, cfg, it, c)
+        else:
+            first = v
             s, r, v, step = _polish(net, a, solvent, inverse)
             # the solve may round a tie v = d up; Picard from below counts it insolvent
             rows = np.flatnonzero((step.max(axis=0) > cfg.tol)
                                   | np.any(np.abs(v - d) <= cfg.tol, axis=0))
-        if rows.size:
-            # the plain iteration's second iterate, where the fallback resumes
-            first = first[:, rows]
-            sub = _sweeps(net, a[:, rows], np.maximum(0.0, first - d), np.minimum(d, first),
-                          cfg.tol, it, cfg.max_iter)
-            if sub[3].max() > cfg.tol:
-                raise _convergence_error(net, sub[2], sub[3], cfg, rows)
-            s[:, rows], r[:, rows], v[:, rows], step[:, rows] = sub[:4]
-            it = sub[4]
-        it += polished
+            if rows.size:
+                sub = _resume(net, a[:, rows], first[:, rows], cfg, it, rows=rows)
+                s[:, rows], r[:, rows], v[:, rows], step[:, rows] = sub[:4]
+                it = sub[4]
+            # the verifying sweep
+            it += 1
     xi = (v > d).astype(float)
-    return s, r, v, xi, it, step.max(axis=0)
+    return s, r, v, xi, it, step.max(axis=0), certified
 
 
-def solve_claims_batch(net: FirmNetwork, a,
-                       cfg: FixedPointConfig = DEFAULT_CONFIG) -> BatchSolution:
-    """Solve the fixed point for each row of a (B, n) scenario array."""
+def solve_claims_batch(net: FirmNetwork, a, cfg: FixedPointConfig = DEFAULT_CONFIG, *,
+                       certify: bool = False) -> BatchSolution:
+    """Solve the fixed point for each row of a (B, n) scenario array.
+
+    certify, which only ``mc``'s Greek chunks pass, lets each draw of a
+    batch too varied to polish stop Picard once its solvency pattern is
+    certified or it meets tol; BatchSolution.certified marks the certified
+    draws.
+    """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     if a.shape[1] != net.n:
         raise ValueError(f"scenario array has {a.shape[1]} columns, network has {net.n} firms")
@@ -223,5 +340,6 @@ def solve_claims_batch(net: FirmNetwork, a,
         row, firm = np.argwhere(bad)[0]
         raise ValueError(f"external asset values must be finite and strictly positive, "
                          f"got {a[row, firm]} at row {row}, firm {firm}")
-    s, r, v, xi, it, resid = _picard(net, a.T.copy(), cfg)
-    return BatchSolution(s=s.T, r=r.T, v=v.T, xi=xi.T, iterations=it, residuals=resid)
+    s, r, v, xi, it, resid, certified = _picard(net, a.T.copy(), cfg, certify)
+    return BatchSolution(s=s.T, r=r.T, v=v.T, xi=xi.T, iterations=it, residuals=resid,
+                         certified=certified)

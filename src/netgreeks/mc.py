@@ -7,12 +7,26 @@ locally constant in every parameter, so the kink contributes nothing):
 
     d x_t / d theta = E[ d(e^{-r tau})/d theta x* + e^{-r tau} dx*/da dA_T/d theta ]
 
-Only rho and theta pick up a discount-derivative term.  Estimates stream
-through fixed-size chunks, draw-last from the fixed point on: the solution's
-(B, n) fields and dxda_batch's (B, k, n) result are views of C-contiguous
-(..., B) arrays, which the chunk uses as they are.  Sums over claims or
-firms reduce leading axes, and the chunk's mean and M2 are numpy's pairwise
-sums along the contiguous draw axis (Higham, 1993).
+Only rho and theta pick up a discount-derivative term.
+
+A Greek chunk needs each draw's solvency pattern, and it solves dx*/da for
+it anyway.  So it asks ``solve_claims_batch`` to certify: in a batch too
+varied to polish, a draw stops Picard once its pattern is certified (see
+``fixpoint``).  For a fixed pattern the claims are affine in the assets,
+
+    x* = dx*/da b + (-Xi d; Xi d),   b = a + (m_d - m_s) Xi d,
+
+so a certified draw's portfolio value W x* is one contraction of the
+W dx*/da at hand: the adjoint identity of Giles & Glasserman (2006), where
+the y that gives delta also gives the price.  That price is the exact fixed
+point of the draw's pattern, not Picard's iterate at tol.  Every other draw,
+and every draw of a price-only run, is priced from the solved claims.
+
+Estimates stream through fixed-size chunks, draw-last from the fixed point
+on: the solution's (B, n) fields and dxda_batch's (B, k, n) result are views
+of C-contiguous (..., B) arrays, which the chunk uses as they are.  Sums
+over claims or firms reduce leading axes, and the chunk's mean and M2 are
+numpy's pairwise sums along the contiguous draw axis (Higham, 1993).
 Per-chunk moments are combined with a pairwise merge in deterministic order,
 so results are bit-identical for any thread count.
 
@@ -45,7 +59,8 @@ from functools import partial
 
 import numpy as np
 
-from .fixpoint import DEFAULT_CONFIG, ConvergenceError, FixedPointConfig, solve_claims_batch
+from .fixpoint import (_BOUNDARY_REL, DEFAULT_CONFIG, ConvergenceError, FixedPointConfig,
+                       solve_claims_batch)
 from .gbm import GbmParams, _terminal_with_partials, normal_variates, sample_terminal
 from .network import FirmNetwork, _ArrayEq
 from .sensitivity import _portfolio_weights, dxda_batch
@@ -61,10 +76,6 @@ __all__ = [
 MC_CHUNK = 8192
 # cap chunk memory for large networks; depends on n only, never on threads
 _CHUNK_BUDGET = 2_097_152
-
-
-# a draw is a boundary hit when some firm value lies within this fraction of its debt
-_BOUNDARY_REL = 1e-9
 
 # glibc's mallopt parameter numbers (malloc.h)
 _M_TRIM_THRESHOLD = -1
@@ -223,7 +234,7 @@ def _mc_chunk(net, gbm, cfg, seed, draws, want_greeks, weights, start):
     else:
         a_T = sample_terminal(gbm, z)
     try:
-        sol = solve_claims_batch(net, a_T, cfg)
+        sol = solve_claims_batch(net, a_T, cfg, certify=want_greeks)
     except ConvergenceError as exc:
         raise _at_draw(exc, start) from exc
     d = net.d[:, None]
@@ -232,9 +243,15 @@ def _mc_chunk(net, gbm, cfg, seed, draws, want_greeks, weights, start):
 
     out = {"price": x}
     if want_greeks:
-        out["solvent"] = sol.xi.T
+        xi = out["solvent"] = sol.xi.T
         # (k, n, B), the C-contiguous array behind dxda_batch's (B, k, n) view
         dxda = dxda_batch(net, sol.xi, weights=weights).transpose(1, 2, 0)
+        if sol.certified.any():
+            # W x* = W dx*/da b + (W_d - W_s) Xi d for a fixed pattern (module docstring)
+            xid = xi * d
+            exact = np.einsum("kjb,jb->kb", dxda, a_T.T + (net.m_d - net.m_s) @ xid)
+            exact += (weights[:, net.n:] - weights[:, :net.n]) @ xid
+            np.copyto(x, exact, where=sol.certified)
         out["delta"] = delta = dxda * da_t
         out["vega"] = vega = dxda * dsigma
         out["delta_total"] = delta.sum(axis=0)

@@ -34,6 +34,9 @@ def _small_runs(tmp_path):
     configs = [
         {"kind": "greeks", "network": str(CONFIGS / "example_network.json"),
          "a_t": 1.0, "sigma": 0.4, "draws": 64, "seed": 1},
+        # price-only: mc.solve_claims_batch without certify
+        {"kind": "price", "network": str(CONFIGS / "example_network.json"),
+         "a_t": 1.0, "sigma": 0.4, "draws": 64, "seed": 1},
         {"kind": "er-sweep", "k_mean": [2.0], "w_d": [0.5], "a0": [1.0],
          "sigma": 0.4, "n": 4, "networks": 1, "draws": 16, "seed": 2},
         {"kind": "two-firm", "a0": 1.0, "w_d": 0.4, "sigma": 0.4, "d": 1.0,

@@ -20,17 +20,20 @@ multiples of 1/8 are exact in binary, so a tie v_i = d_i and a holding ring
 whose claims add to exactly one are exact too.
 """
 
+from dataclasses import fields
 from fractions import Fraction
 from itertools import product
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import netgreeks as ng
-from netgreeks import sensitivity
-from netgreeks.fixpoint import DEFAULT_CONFIG
+from netgreeks import mc, sensitivity
+from netgreeks.fixpoint import DEFAULT_CONFIG, ConvergenceError, FixedPointConfig
+from netgreeks.gbm import GbmParams
 from helpers import (TIGHT, exact_fixed_points, exact_inverse, exact_system, inf_norm,
                      random_network)
 
@@ -137,13 +140,10 @@ def test_validate_accepts_exactly_the_networks_with_one_fixed_point(seed, n):
     assert report.unique_fixed_point == (not singular)
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.integers(2, 5))
-# a polished batch whose solve rounded the tie v_0 = d_0 = 0.875 up
-@example(22506, 2)
-def test_solver_counts_a_tie_as_insolvent(seed, n):
-    # pick the fixed point first, in eighths with some v_i = d_i exactly, and
-    # solve for the assets; the README counts a tie as a default
+def _tie_scenario(seed, n):
+    """(net, a, xi, tie): a fixed point picked in eighths with some v_i = d_i
+    exactly, and the assets that solve to it; the README counts a tie as a
+    default."""
     rng = np.random.default_rng(seed)
     m_s, m_d = _dyadic_holdings(rng, n, rings=False), _dyadic_holdings(rng, n, rings=False)
     d = rng.integers(4, 17, size=n) / 8.0
@@ -159,7 +159,107 @@ def test_solver_counts_a_tie_as_insolvent(seed, n):
     found = exact_fixed_points(m_s, m_d, d, a)
     assert len(found) == 1 and found[0][1] == [Fraction(x) for x in v]
     np.testing.assert_array_equal(found[0][0], xi)
+    return net, a, xi, tie
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 5))
+# a polished batch whose solve rounded the tie v_0 = d_0 = 0.875 up
+@example(22506, 2)
+def test_solver_counts_a_tie_as_insolvent(seed, n):
+    net, a, xi, _ = _tie_scenario(seed, n)
     for cfg in (DEFAULT_CONFIG, TIGHT):
         for rows in (1, n):
             sol = ng.solve_claims_batch(net, np.tile(a, (rows, 1)), cfg)
             np.testing.assert_array_equal(sol.xi, np.tile(xi, (rows, 1)))
+
+
+# Certificates.  A batch with fewer rows than firms has more patterns than
+# rows / n, so it is never polished: with certify=True its rows certify as
+# they sweep.
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 5))
+def test_certified_pattern_is_the_exact_one(seed, n):
+    net, _ = _network(seed, n)
+    a = np.random.default_rng([seed, 1]).uniform(0.1, 3.0, size=(n - 1, n))
+    sol = ng.solve_claims_batch(net, a, certify=True)
+    d = [Fraction(x) for x in net.d]
+    for row, certified, got in zip(a, sol.certified, sol.xi):
+        (xi, v, _), = exact_fixed_points(net.m_s, net.m_d, net.d, row)
+        if certified:
+            np.testing.assert_array_equal(got, xi)
+        # Picard meets tol = 1e-12 with a bound of at most c / (1 - c) 2n tol,
+        # so a fixed point this far from every debt is certified by then
+        assert certified or min(abs(vi - di) / di for vi, di in zip(v, d)) <= Fraction(1, 10**6)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 5))
+@example(22506, 2)
+def test_certificate_never_certifies_a_tie(seed, n):
+    # Picard rises to v_i = d_i from below and the bound covers the gap, so
+    # neither test can pass; the draw falls back and a tie counts insolvent
+    net, a, xi, tie = _tie_scenario(seed, n)
+    assume(tie.any())
+    for cfg in (DEFAULT_CONFIG, TIGHT):
+        sol = ng.solve_claims_batch(net, a[None], cfg, certify=True)
+        assert not sol.certified[0]
+        np.testing.assert_array_equal(sol.xi[0], xi)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 5))
+def test_claim_held_in_full_certifies_nothing(seed, n):
+    # with a column sum of one the bound c / (1 - c) is void: every row falls
+    # back to plain Picard, byte for byte the solve without certify
+    rng = np.random.default_rng(seed)
+    m_s, m_d = _dyadic_holdings(rng, n), _dyadic_holdings(rng, n)
+    d = rng.integers(4, 17, size=n) / 8.0
+    assume(max(m_s.sum(axis=0).max(), m_d.sum(axis=0).max()) == 1.0)
+    assume(ng.validate_network(m_s, m_d, d).ok)
+    net = ng.FirmNetwork(m_s=m_s, m_d=m_d, d=d)
+    a = rng.uniform(0.1, 3.0, size=(n - 1, n))
+    plain = ng.solve_claims_batch(net, a)
+    sol = ng.solve_claims_batch(net, a, certify=True)
+    assert not sol.certified.any()
+    for f in fields(sol):
+        assert np.asarray(getattr(sol, f.name)).tobytes() == \
+            np.asarray(getattr(plain, f.name)).tobytes(), f.name
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 5), st.integers(1, 2))
+@example(22506, 2, 1)
+def test_fallback_row_that_misses_tol_names_the_run_global_draw(seed, n, before):
+    # the last chunk of a Greek run holds a tie, which is never certified, in
+    # a random row among rows whose every a_i > d_i certifies at once; at
+    # max_iter = 2 the tie misses tol, and the error counts its row from the
+    # first draw of the run, after `before` full chunks
+    net, a, _, tie = _tie_scenario(seed, n)
+    assume(tie.any())
+    cfg = FixedPointConfig(max_iter=2)
+    assume(ng.solve_claims_batch(net, a[None]).iterations > cfg.max_iter)
+    rows = n - 1
+    row = int(np.random.default_rng([seed, 2]).integers(rows))
+    batch = np.tile(a + 3.0, (rows, 1))
+    batch[row] = a
+    with pytest.raises(ConvergenceError) as local:
+        ng.solve_claims_batch(net, batch, cfg, certify=True)
+    assert local.value.draw == row
+
+    start = before * mc._chunk_size(n)
+    real = mc._terminal_with_partials
+
+    def terminal(gbm, z):
+        # every chunk before the last one is deep solvent, so its polish meets tol
+        a_t, partials = real(gbm, z)
+        a_t[:] = batch if len(z) == rows else a + 3.0
+        return a_t, partials
+
+    gbm = GbmParams(a_t=np.ones(n), sigma=np.full(n, 0.4), r=0.0, tau=1.0, corr=np.eye(n))
+    with mock.patch.object(mc, "_terminal_with_partials", terminal), \
+            pytest.raises(ConvergenceError) as err:
+        mc.mc_greeks(net, gbm, start + rows, seed, cfg=cfg)
+    assert err.value.draw == start + row
+    assert f"failed at draw {start + row}:" in str(err.value)

@@ -378,7 +378,17 @@ def test_n60_batch_with_too_many_patterns_is_plain_picard(ki, k_mean, wi, w_d):
     net = er_network(60, k_mean, w_d, seed=_task_seed(1, 0, ki, wi, 0))
     gbm = GbmParams(a_t=np.ones(60), sigma=np.full(60, 0.4), r=0.0, tau=1.0, corr=np.eye(60))
     a = sample_terminal(gbm, normal_variates(_task_seed(1, 1, ki, wi, 9, 0), 582, 60))
-    _assert_plain_picard(net, a, picard_oracle(net, a))
+    oracle = picard_oracle(net, a)
+    _assert_plain_picard(net, a, oracle)
+    # certifying, the draws leave the sweeps in groups as their patterns are
+    # certified, in fewer sweeps; each keeps its pattern and its column, and
+    # its firm values are an earlier Picard iterate, below the plain loop's
+    sol = ng.solve_claims_batch(net, a, certify=True)
+    _assert_draw_last(sol, a.shape)
+    np.testing.assert_array_equal(sol.xi, oracle[3])
+    assert sol.certified.all() and sol.iterations < oracle[4] / 2
+    below = oracle[2] - sol.v
+    assert below.min() >= -1e-12 and below.max() <= 1e-2
 
 
 def _assert_plain_picard(net, a, oracle):

@@ -159,7 +159,9 @@ def test_pathwise_greeks_match_common_random_number_differences_in_both_kernel_p
     # the n = 2 case above factors every pattern.  Every firm of the 12-firm
     # equity network is live, so its patterns go to the sensitivity sweeps
     # with the two block-average portfolios and to the stacked LU with
-    # dx*/da's 24 rows; the n = 60 debt network's go to both, by |J|
+    # dx*/da's 24 rows; the n = 60 debt network's go to both, by |J|.  The
+    # n = 60 Greek run prices its certified draws through dx*/da, and rho
+    # and theta carry -tau x and r x, so they check that price too
     n = net.n
     weights = np.kron(np.eye(2), np.full((1, n), 1.0 / n)) if block_average else np.eye(2 * n)
     gbm = GbmParams(a_t=np.ones(n), sigma=np.full(n, 0.4), r=0.03, tau=1.0, corr=np.eye(n))
@@ -172,6 +174,32 @@ def test_pathwise_greeks_match_common_random_number_differences_in_both_kernel_p
             # relative to the column's largest entry
             column = greek[:, j]
             assert np.abs(fd - column).max() <= gate * np.abs(column).max(), (field, j)
+    for field, greek, gate in (("r", rep.rho, 1e-7), ("tau", -rep.theta, 1e-6)):
+        fd = weights @ _crn_difference(net, gbm, draws, seed, field, h, cfg=cfg)
+        assert np.abs(fd - greek).max() <= gate * np.abs(greek).max(), field
+
+
+def test_greek_price_through_dxda_matches_the_solved_claims_at_n60(monkeypatch):
+    # an er-sweep cell at r = 0.03: every chunk of the Greek run certifies its
+    # draws and prices them by one contraction of W dx*/da; the price-only
+    # run prices Picard's claims at tol
+    n = 60
+    net = ng.er_network(n, 3.0, 0.4, seed=2)
+    weights = np.kron(np.eye(2), np.full((1, n), 1.0 / n))
+    gbm = GbmParams(a_t=np.ones(n), sigma=np.full(n, 0.4), r=0.03, tau=1.0, corr=np.eye(n))
+    certified = []
+
+    def spy(*args, **kwargs):
+        sol = solve_claims_batch(*args, **kwargs)
+        certified.append(sol.certified.mean())
+        return sol
+
+    monkeypatch.setattr(mc, "solve_claims_batch", spy)
+    rep = mc_greeks(net, gbm, 2000, 9, weights=weights)
+    assert len(certified) == 4 and min(certified) == 1.0
+    monkeypatch.undo()
+    want = weights @ price_claims(net, gbm, 2000, 9).price
+    np.testing.assert_allclose(rep.price, want, rtol=1e-12, atol=0.0)
 
 
 def test_bit_reproducible_across_threads_and_runs():
