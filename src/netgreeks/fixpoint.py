@@ -26,11 +26,11 @@ with too many patterns to polish, goes on with plain Picard from the second
 iterate, so the batch always meets tol and a tie v = d counts insolvent.
 
 A Greek run needs only each draw's xi: ``mc`` prices its draws through the
-dx*/da it solves anyway, and passes certify=True.  Then, in a batch too
-varied to polish, a draw stops Picard once its pattern is certified or it
-meets tol.  Picard rises from v_0 = min(d, a), and a sweep shrinks the 1-norm of
-the step in v by at least c, the largest column sum of m_s and m_d (each
-firm's |ds| + |dr| is its |dv|).  So for c < 1
+dx*/da it solves anyway, and passes certify=True.  Then a batch too varied
+to polish stops Picard at the first sweep where every draw has its pattern
+certified or meets tol.  Picard rises from v_0 = min(d, a), and a sweep
+shrinks the 1-norm of the step in v by at least c, the largest column sum
+of m_s and m_d (each firm's |ds| + |dr| is its |dv|).  So for c < 1
 
     ||v* - v_k||_1 <= c / (1 - c) ||v_k - v_{k-1}||_1 =: bound,
 
@@ -43,16 +43,17 @@ up the sweeps' errors to at most 1 / (1 - c) of one.  The margin absorbs
 the rounding of the bound itself and keeps every certified draw out of the
 boundary band that ``mc`` counts as a hit; a tie v = d is never
 certified.  A network with c >= 1 - _SLACK certifies nothing.
-Done draws leave the sweeps once they are at least half of the draws
-still sweeping, so each sweep costs what its remaining draws cost.  A
-certified draw's claims are the iterate at which it left, so its residual
-may exceed tol; every other draw meets tol, and a draw that misses it
-raises ConvergenceError as before.  The certificate sweeps count against
-max_iter.
+A certified draw sweeps on with the rest and stays certified, since its
+iterates go on rising and its bound shrinks by c per sweep.  Its claims
+are the batch's last iterate, so its residual may exceed tol; every other
+draw meets tol, and a draw that misses it raises ConvergenceError as
+before.  The certificate sweeps count against max_iter, and the batch is
+the plain Picard loop, stopped earlier.
 
 The solver works draw-last, on C-contiguous (n, B) arrays, as ``mc`` does;
 its products with the holdings sum in the draw-major order (``_dot``), so
-an unpolished batch is bit for bit the plain draw-major Picard loop.
+an unpolished batch is bit for bit the plain draw-major Picard loop, up to
+the sweep at which it stops.
 """
 
 from __future__ import annotations
@@ -123,9 +124,7 @@ class BatchSolution(_ArrayEq):
     included.  residuals is each draw's ||g(x) - x||_inf at the returned
     claims, at most tol unless the draw is certified.  certified marks the
     draws whose pattern xi is certified (see the module docstring), all
-    False unless the solve was asked to certify; a certified draw's claims
-    are the iterate at which it left the sweeps.  It is None only on a
-    solution built by hand.
+    False unless the solve was asked to certify.
     """
 
     s: np.ndarray            # (B, n)
@@ -134,7 +133,7 @@ class BatchSolution(_ArrayEq):
     xi: np.ndarray           # (B, n), floats in {0, 1}
     iterations: int
     residuals: np.ndarray    # (B,) final sup-norm per scenario
-    certified: np.ndarray | None = None   # (B,) bool, draws whose xi is certified
+    certified: np.ndarray    # (B,) bool, draws whose xi is certified
 
 
 def _dot(m, x):
@@ -142,26 +141,25 @@ def _dot(m, x):
     return (x.T @ m.T).T
 
 
-def _sweeps(net, a, s, r, tol, it, max_iter, c=None):
-    """Picard sweeps from (s, r) until every draw's step is <= tol or it reaches max_iter.
+def _sweeps(net, a, v0, tol, it, max_iter, c=None):
+    """Picard sweeps from g(v0) until every draw is done or it reaches max_iter.
 
-    it counts the map evaluations already spent.  Returns (s, r, v, step,
-    it, certified): the iterate at which the step ||g(x) - x|| was measured,
-    its firm value and the per-firm step, all (n, B), and the (B,) mask of
-    draws whose solvency pattern is certified.  The caller checks
-    convergence; the next iterate is g(x) = (max(0, v - d), min(d, v)).  The
-    sweeps write into s and r, which the callers pass as fresh arrays.
+    The sweeps start from g(v0) = (max(0, v0 - d), min(d, v0)), and it
+    counts the map evaluations already spent.  Returns (s, r, v, step, it,
+    certified): the iterate at which the step ||g(x) - x|| was measured, its
+    firm value and the per-firm step, all (n, B), and the (B,) mask of draws
+    whose solvency pattern is certified.  The caller checks convergence.
 
-    With c, the contraction of ``_contraction``, every sweep also certifies
-    the draws it can (see the module docstring), and a draw is done once it
-    is certified or meets tol.  Once at least half of the draws still
-    sweeping are done they leave: their columns are kept as returned and
-    the sweeps go on over the rest.  Without c, certified is all False.
+    A draw is done once its step is <= tol.  With c, the contraction of
+    ``_contraction``, every sweep also certifies the draws it can (see the
+    module docstring), and a certified draw is done too; it keeps sweeping
+    with the rest.  Without c, certified is all False.
     """
     # d as a full (n, B) array: numpy's loops run slower with a broadcast column
     d = np.repeat(net.d[:, None], a.shape[1], axis=1)
     # a debt-only network adds m_s s = +0.0 to a positive a, which is exact
     equity = np.any(net.m_s)
+    s, r = np.maximum(0.0, v0 - d), np.minimum(d, v0)
     v, s_new, r_new, step, gap = (np.empty_like(a) for _ in range(5))
     certified = np.zeros(a.shape[1], dtype=bool)
     if c is not None:
@@ -170,9 +168,6 @@ def _sweeps(net, a, s, r, tol, it, max_iter, c=None):
         err = 2 * (net.n + 1) * np.finfo(float).eps / (1.0 - c) ** 2 * a.sum(axis=0)
         lo, hi = d * (1.0 - _BOUNDARY_REL) - err, d * (1.0 + _BOUNDARY_REL) + err
         above, below = (np.empty(a.shape, dtype=bool) for _ in range(2))
-        # the returned (s, r, v, step) once draws have left, and the batch
-        # columns of the draws still sweeping
-        out, cols = None, np.arange(a.shape[1])
     while True:
         if equity:
             np.add(a, _dot(net.m_s, s), out=v)
@@ -190,32 +185,12 @@ def _sweeps(net, a, s, r, tol, it, max_iter, c=None):
             bound *= ratio
         np.maximum(gap, step, out=step)
         it += 1
-        if c is None:
-            if step.max() <= tol or it >= max_iter:
-                return s, r, v, step, it, certified
-        else:
+        if c is not None:
             np.greater(v, hi, out=above)
             np.less(v, np.subtract(lo, bound, out=gap), out=below)
-            certified[cols] |= np.logical_or(above, below, out=below).all(axis=0)
-            done = certified[cols] | (step.max(axis=0) <= tol)
-            if done.all() or it >= max_iter:
-                if out is None:
-                    return s, r, v, step, it, certified
-                for full, part in zip(out, (s, r, v, step)):
-                    full[:, cols] = part
-                return *out, it, certified
-            if 2 * np.count_nonzero(done) >= done.size:
-                if out is None:
-                    # the full-width arrays, whose done columns are in place
-                    out = s, r, v, step
-                else:
-                    for full, part in zip(out, (s, r, v, step)):
-                        full[:, cols[done]] = part[:, done]
-                keep = ~done
-                cols = cols[keep]
-                a, d, s_new, r_new, lo, hi = (x[:, keep] for x in (a, d, s_new, r_new, lo, hi))
-                s, r, v, step, gap = (np.empty_like(a) for _ in range(5))
-                above, below = (np.empty(a.shape, dtype=bool) for _ in range(2))
+            certified |= np.logical_or(above, below, out=below).all(axis=0)
+        if it >= max_iter or (certified | (step.max(axis=0) <= tol)).all():
+            return s, r, v, step, it, certified
         s, s_new = s_new, s
         r, r_new = r_new, r
 
@@ -247,15 +222,13 @@ def _convergence_error(net, v, step, cfg, rows=None):
 
 
 def _resume(net, a, first, cfg, it, c=None, rows=None):
-    """Picard sweeps resumed from the second iterate, which the first sweep's firm values give.
+    """Picard sweeps resumed from the second iterate, g of the first sweep's firm values.
 
     Returns what ``_sweeps`` returns and raises ConvergenceError if a draw
     that is not certified misses tol; rows, if given, maps the draws to the
     batch.
     """
-    d = net.d[:, None]
-    sub = _sweeps(net, a, np.maximum(0.0, first - d), np.minimum(d, first),
-                  cfg.tol, it, cfg.max_iter, c)
+    sub = _sweeps(net, a, first, cfg.tol, it, cfg.max_iter, c)
     late = (sub[3].max(axis=0) > cfg.tol) & ~sub[5]
     if late.any():
         raise _convergence_error(net, sub[2], sub[3] * late, cfg, rows)
@@ -282,9 +255,8 @@ def _polish(net, a, solvent, inverse):
         solvent, inverse = _distinct_patterns(xi[:, rows].T)
         v[:, rows] = _forward_solve(net, solvent, inverse, a[:, rows] + _dot(diff, xi[:, rows] * d))
         rows = rows[np.any((v[:, rows] > d) != xi[:, rows], axis=0)]
-    s, r = np.maximum(0.0, v - d), np.minimum(d, v)
-    # one sweep: max_iter = 1
-    return _sweeps(net, a, s, r, 0.0, 0, 1)[:4]
+    # one sweep from g(v): max_iter = 1
+    return _sweeps(net, a, v, 0.0, 0, 1)[:4]
 
 
 def _picard(net, a, cfg, certify):
@@ -297,10 +269,9 @@ def _picard(net, a, cfg, certify):
     a batch too varied to polish certifies its draws' patterns as it sweeps.
     """
     d = net.d[:, None]
-    # one sweep from the start: max_iter = 1
-    s, r, v, step, it, certified = _sweeps(net, a, np.zeros_like(a), np.minimum(d, a),
-                                           0.0, 0, 1)
-    if step.max() > cfg.tol:
+    # one sweep from g(min(d, a)) = (0, min(d, a)), the start: max_iter = 1
+    s, r, v, step, it, certified = _sweeps(net, a, np.minimum(d, a), 0.0, 0, 1)
+    if (step > cfg.tol).any():
         if it >= cfg.max_iter:
             raise _convergence_error(net, v, step, cfg)
         solvent, inverse = _distinct_patterns((v > d).T)
@@ -327,8 +298,8 @@ def solve_claims_batch(net: FirmNetwork, a, cfg: FixedPointConfig = DEFAULT_CONF
                        certify: bool = False) -> BatchSolution:
     """Solve the fixed point for each row of a (B, n) scenario array.
 
-    certify, which only ``mc``'s Greek chunks pass, lets each draw of a
-    batch too varied to polish stop Picard once its solvency pattern is
+    certify, which only ``mc``'s Greek chunks pass, stops the Picard sweeps
+    of a batch too varied to polish once every draw's solvency pattern is
     certified or it meets tol; BatchSolution.certified marks the certified
     draws.
     """

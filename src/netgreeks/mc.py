@@ -10,9 +10,10 @@ locally constant in every parameter, so the kink contributes nothing):
 Only rho and theta pick up a discount-derivative term.
 
 A Greek chunk needs each draw's solvency pattern, and it solves dx*/da for
-it anyway.  So it asks ``solve_claims_batch`` to certify: in a batch too
-varied to polish, a draw stops Picard once its pattern is certified (see
-``fixpoint``).  For a fixed pattern the claims are affine in the assets,
+it anyway.  So it asks ``solve_claims_batch`` to certify: a batch too
+varied to polish stops Picard once every draw's pattern is certified or
+meets tol (see ``fixpoint``).  For a fixed pattern the claims are affine
+in the assets,
 
     x* = dx*/da b + (-Xi d; Xi d),   b = a + (m_d - m_s) Xi d,
 

@@ -76,12 +76,14 @@ def save_network(net: FirmNetwork, path) -> None:
     Path(path).write_text(json.dumps(obj, indent=2) + "\n")
 
 
-def picard_oracle(net: FirmNetwork, a, cfg: FixedPointConfig = DEFAULT_CONFIG):
+def picard_oracle(net: FirmNetwork, a, cfg: FixedPointConfig = DEFAULT_CONFIG, sweeps=None):
     """Plain Picard over a (B, n) batch from s = 0, r = min(d, a), every row to cfg.tol.
 
     The solver before the polish, kept as its oracle.  Returns
     (s, r, v, xi, iterations, residuals) with the meanings of
-    ``BatchSolution``; iterations counts map evaluations.
+    ``BatchSolution``; iterations counts map evaluations.  With sweeps it
+    returns the iterate of that map evaluation instead, whatever its
+    residuals.
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     d = net.d
@@ -91,10 +93,18 @@ def picard_oracle(net: FirmNetwork, a, cfg: FixedPointConfig = DEFAULT_CONFIG):
         s_new = np.maximum(0.0, v - d)
         r_new = np.minimum(d, v)
         resid = np.maximum(np.abs(s_new - s), np.abs(r_new - r)).max(axis=1)
-        if resid.max() <= cfg.tol:
+        done = resid.max() <= cfg.tol if sweeps is None else it == sweeps
+        if done:
             return s, r, v, (v > d).astype(float), it, resid
         s, r = s_new, r_new
     raise ConvergenceError(f"no convergence after {cfg.max_iter} iterations")
+
+
+def assert_picard_iterate(net: FirmNetwork, a, sol) -> None:
+    """sol's s, r and v are ``picard_oracle``'s iterate at sol.iterations, bit for bit."""
+    oracle = picard_oracle(net, a, sweeps=sol.iterations)
+    for got, want in zip((sol.s, sol.r, sol.v), oracle[:3]):
+        np.testing.assert_array_equal(got, want)
 
 
 def quadrature_price(net: FirmNetwork, gbm, nodes: int) -> np.ndarray:

@@ -34,8 +34,8 @@ import netgreeks as ng
 from netgreeks import mc, sensitivity
 from netgreeks.fixpoint import DEFAULT_CONFIG, ConvergenceError, FixedPointConfig
 from netgreeks.gbm import GbmParams
-from helpers import (TIGHT, exact_fixed_points, exact_inverse, exact_system, inf_norm,
-                     random_network)
+from helpers import (TIGHT, assert_picard_iterate, exact_fixed_points, exact_inverse,
+                     exact_system, inf_norm, random_network)
 
 EPS = Fraction(np.finfo(float).eps)
 
@@ -192,6 +192,8 @@ def test_certified_pattern_is_the_exact_one(seed, n):
         # Picard meets tol = 1e-12 with a bound of at most c / (1 - c) 2n tol,
         # so a fixed point this far from every debt is certified by then
         assert certified or min(abs(vi - di) / di for vi, di in zip(v, d)) <= Fraction(1, 10**6)
+    # the batch is the plain Picard loop, stopped at its last sweep
+    assert_picard_iterate(net, a, sol)
 
 
 @settings(max_examples=40, deadline=None)

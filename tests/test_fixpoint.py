@@ -11,7 +11,8 @@ from netgreeks.experiments import _task_seed
 from netgreeks.gbm import GbmParams, normal_variates, sample_terminal
 from netgreeks.network import er_network
 from netgreeks.sensitivity import _distinct_patterns
-from helpers import TIGHT, Claims, eval_g, picard_oracle, random_network, solve_claims, solvency
+from helpers import (TIGHT, Claims, assert_picard_iterate, eval_g, picard_oracle, random_network,
+                     solve_claims, solvency)
 
 
 def single_firm(d=1.0):
@@ -380,15 +381,26 @@ def test_n60_batch_with_too_many_patterns_is_plain_picard(ki, k_mean, wi, w_d):
     a = sample_terminal(gbm, normal_variates(_task_seed(1, 1, ki, wi, 9, 0), 582, 60))
     oracle = picard_oracle(net, a)
     _assert_plain_picard(net, a, oracle)
-    # certifying, the draws leave the sweeps in groups as their patterns are
-    # certified, in fewer sweeps; each keeps its pattern and its column, and
-    # its firm values are an earlier Picard iterate, below the plain loop's
+    # certifying, the batch stops once every draw's pattern is certified, in
+    # fewer sweeps; each draw keeps its pattern, and its firm values are an
+    # earlier Picard iterate, below the plain loop's
     sol = ng.solve_claims_batch(net, a, certify=True)
     _assert_draw_last(sol, a.shape)
     np.testing.assert_array_equal(sol.xi, oracle[3])
     assert sol.certified.all() and sol.iterations < oracle[4] / 2
     below = oracle[2] - sol.v
     assert below.min() >= -1e-12 and below.max() <= 1e-2
+    # that iterate is the plain loop's at the same sweep, bit for bit
+    assert_picard_iterate(net, a, sol)
+
+
+@pytest.mark.parametrize("certify", [False, True])
+def test_empty_batch_is_an_empty_solution(certify):
+    net = ng.symmetric_network(3, 0.2, 0.3)
+    sol = ng.solve_claims_batch(net, np.empty((0, 3)), certify=certify)
+    _assert_draw_last(sol, (0, 3))
+    assert sol.residuals.shape == sol.certified.shape == (0,)
+    assert sol.iterations == 1
 
 
 def _assert_plain_picard(net, a, oracle):

@@ -311,7 +311,8 @@ def _array_dataclasses(rng, n):
         (random_network(rng, n), ("d",)),
         (GbmParams(a_t=x[0], sigma=x[1], r=0.01, tau=1.0, corr=np.eye(n)), ("a_t", "sigma", "r", "tau")),
         (ng.BatchSolution(s=x[:2], r=x[1:3], v=x[2:], xi=(x[:2] > 1.0).astype(float),
-                          iterations=7, residuals=x[3, :2]), ("s", "r", "v", "residuals")),
+                          iterations=7, residuals=x[3, :2], certified=np.zeros(2, dtype=bool)),
+         ("s", "r", "v", "residuals")),
     ]
 
 
