@@ -15,7 +15,8 @@ Prints `sha256  name` lines for:
 - mc_greeks on an n = 60 Erdos-Renyi network whose firm 0 has its debt
   held in full by firm 1, run in process with the er-sweep portfolios: a
   column sum of one leaves the pattern certificate void, so its Greek
-  chunks solve every draw to tol and price the solved claims;
+  chunks solve every draw to tol and price it through the contraction of
+  its pattern's W dx*/da;
 - the outputs of perfbench's cli_small pass, its shipped configs run as
   CLI subprocesses;
 - variants 0-7 of perfbench's sym_grid_mc and er_sweep_n60 passes, one

@@ -28,7 +28,7 @@ ROOT = Path(__file__).resolve().parent.parent
 CONFIG = ROOT / "configs" / "er_sweep_paper.json"
 sys.path.insert(0, str(ROOT / "src"))
 
-from netgreeks.experiments import ExperimentConfig, run_experiment  # noqa: E402
+from netgreeks.experiments import ConfigError, ExperimentConfig, run_experiment  # noqa: E402
 
 
 def main() -> None:
@@ -38,9 +38,11 @@ def main() -> None:
     parser.add_argument("--out", type=Path, help="keep the slice CSV in this file")
     args = parser.parse_args()
     obj = json.loads(CONFIG.read_text())
-    scale = obj["networks"] / args.networks
-    obj.update(networks=args.networks, threads=args.threads)
-    cfg = ExperimentConfig.from_dict(obj)
+    try:
+        cfg = ExperimentConfig.from_dict(dict(obj, networks=args.networks, threads=args.threads))
+    except ConfigError as exc:
+        parser.error(str(exc))
+    scale = obj["networks"] / cfg.networks
     with tempfile.TemporaryDirectory() as tmp:
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         start = time.perf_counter()

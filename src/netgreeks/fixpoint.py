@@ -25,12 +25,12 @@ check or has a firm value within tol of its debt, and every draw of a batch
 with too many patterns to polish, goes on with plain Picard from the second
 iterate, so the batch always meets tol and a tie v = d counts insolvent.
 
-A Greek run needs only each draw's xi: ``mc`` prices its draws through the
-dx*/da it solves anyway, and passes certify=True.  Then a batch too varied
-to polish stops Picard at the first sweep where every draw has its pattern
-certified or meets tol.  Picard rises from v_0 = min(d, a), and a sweep
-shrinks the 1-norm of the step in v by at least c, the largest column sum
-of m_s and m_d (each firm's |ds| + |dr| is its |dv|).  So for c < 1
+A Greek run needs only each draw's xi: ``mc`` prices every draw through
+the dx*/da it solves anyway, and passes certify=True.  Then a batch too
+varied to polish stops Picard at the first sweep where every draw has its
+pattern certified or meets tol.  Picard rises from v_0 = min(d, a), and a
+sweep shrinks the 1-norm of the step in v by at least c, the largest column
+sum of m_s and m_d (each firm's |ds| + |dr| is its |dv|).  So for c < 1
 
     ||v* - v_k||_1 <= c / (1 - c) ||v_k - v_{k-1}||_1 =: bound,
 
@@ -300,8 +300,9 @@ def solve_claims_batch(net: FirmNetwork, a, cfg: FixedPointConfig = DEFAULT_CONF
 
     certify, which only ``mc``'s Greek chunks pass, stops the Picard sweeps
     of a batch too varied to polish once every draw's solvency pattern is
-    certified or it meets tol; BatchSolution.certified marks the certified
-    draws.
+    certified or it meets tol (see the module docstring);
+    BatchSolution.certified marks the certified draws.  Those chunks price
+    every draw from its pattern xi alone, through dx*/da.
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     if a.shape[1] != net.n:

@@ -9,19 +9,18 @@ locally constant in every parameter, so the kink contributes nothing):
 
 Only rho and theta pick up a discount-derivative term.
 
-A Greek chunk needs each draw's solvency pattern, and it solves dx*/da for
-it anyway.  So it asks ``solve_claims_batch`` to certify: a batch too
-varied to polish stops Picard once every draw's pattern is certified or
-meets tol (see ``fixpoint``).  For a fixed pattern the claims are affine
-in the assets,
+A Greek chunk needs only each draw's solvency pattern, so it asks
+``solve_claims_batch`` to certify the patterns, which may stop Picard early
+(the certificate is derived in the ``fixpoint`` module docstring).  For a
+fixed pattern the claims are affine in the assets,
 
     x* = dx*/da b + (-Xi d; Xi d),   b = a + (m_d - m_s) Xi d,
 
-so a certified draw's portfolio value W x* is one contraction of the
+so every Greek draw's portfolio value W x* is one contraction of the
 W dx*/da at hand: the adjoint identity of Giles & Glasserman (2006), where
 the y that gives delta also gives the price.  That price is the exact fixed
-point of the draw's pattern, not Picard's iterate at tol.  Every other draw,
-and every draw of a price-only run, is priced from the solved claims.
+point of the draw's pattern, not the solver's claims.  A price-only run
+solves no dx*/da and prices the solved claims, W (s; r).
 
 Estimates stream through fixed-size chunks, draw-last from the fixed point
 on: the solution's (B, n) fields and dxda_batch's (B, k, n) result are views
@@ -240,29 +239,28 @@ def _mc_chunk(net, gbm, cfg, seed, draws, want_greeks, weights, start):
         raise _at_draw(exc, start) from exc
     d = net.d[:, None]
     boundary = int(np.any(np.abs(sol.v.T - d) <= _BOUNDARY_REL * d, axis=0).sum())
-    x = weights @ np.vstack([sol.s.T, sol.r.T])
+    if not want_greeks:
+        x = weights @ np.vstack([sol.s.T, sol.r.T])
+        return {"price": _RunningStat.from_samples(x)}, boundary
 
-    out = {"price": x}
-    if want_greeks:
-        xi = out["solvent"] = sol.xi.T
-        # (k, n, B), the C-contiguous array behind dxda_batch's (B, k, n) view
-        dxda = dxda_batch(net, sol.xi, weights=weights).transpose(1, 2, 0)
-        if sol.certified.any():
-            # W x* = W dx*/da b + (W_d - W_s) Xi d for a fixed pattern (module docstring)
-            xid = xi * d
-            exact = np.einsum("kjb,jb->kb", dxda, a_T.T + (net.m_d - net.m_s) @ xid)
-            exact += (weights[:, net.n:] - weights[:, :net.n]) @ xid
-            np.copyto(x, exact, where=sol.certified)
-        out["delta"] = delta = dxda * da_t
-        out["vega"] = vega = dxda * dsigma
-        out["delta_total"] = delta.sum(axis=0)
-        out["delta_uniform"] = delta.sum(axis=1)
-        out["vega_uniform"] = vega.sum(axis=1)
-        # rho and theta carry the discount-factor derivative alongside the
-        # pathwise term; theta is quoted as -d(price)/d(tau)
-        out["rho"] = np.einsum("kjb,jb->kb", dxda, dr) - gbm.tau * x
-        out["theta"] = -(np.einsum("kjb,jb->kb", dxda, dtau) - gbm.r * x)
-        out["pi"] = dxda.sum(axis=0)
+    xi = sol.xi.T
+    # (k, n, B), the C-contiguous array behind dxda_batch's (B, k, n) view
+    dxda = dxda_batch(net, sol.xi, weights=weights).transpose(1, 2, 0)
+    # W x* = W dx*/da b + (W_d - W_s) Xi d for the draw's pattern (module docstring)
+    xid = xi * d
+    x = np.einsum("kjb,jb->kb", dxda, a_T.T + (net.m_d - net.m_s) @ xid)
+    x += (weights[:, net.n:] - weights[:, :net.n]) @ xid
+    out = {"price": x, "solvent": xi}
+    out["delta"] = delta = dxda * da_t
+    out["vega"] = vega = dxda * dsigma
+    out["delta_total"] = delta.sum(axis=0)
+    out["delta_uniform"] = delta.sum(axis=1)
+    out["vega_uniform"] = vega.sum(axis=1)
+    # rho and theta carry the discount-factor derivative alongside the
+    # pathwise term; theta is quoted as -d(price)/d(tau)
+    out["rho"] = np.einsum("kjb,jb->kb", dxda, dr) - gbm.tau * x
+    out["theta"] = -(np.einsum("kjb,jb->kb", dxda, dtau) - gbm.r * x)
+    out["pi"] = dxda.sum(axis=0)
     return {name: _RunningStat.from_samples(arr) for name, arr in out.items()}, boundary
 
 

@@ -216,21 +216,11 @@ def _adjoint_solve(net: FirmNetwork, solvent: np.ndarray, c: np.ndarray) -> np.n
     """y = A(xi)^{-T} c for U distinct patterns: (U, n) bool, (U, k, n) -> C-contiguous (k, n, U).
 
     Row (u, i) of c, which the solve overwrites, is the i-th right-hand
-    side of pattern u.  The rows P outside a pattern's live block are
-    y_P = c_P.  A live block J with |J| >= _SWEEP_MIN, in a solve with at
-    most _SWEEP_MAX_RHS right-hand sides, is solved without a matrix by the
-    sweeps y <- c + B(xi)^T y (``_sweep_solve``); one that still moves
-    after _SWEEP_CAP sweeps, and every other block, by one stacked LU per
-    size |J| (``_factor_solve``), where a singular block is named by its
-    pattern and live firms.  Which path a pattern takes depends on the
-    pattern and k alone, never on the rest of the batch.  Both paths take
-    their products with H(xi) from ``_times_h``; the LU's gather of
-    (I - H_JJ)^T needs no pure-debt case, as every live firm is insolvent
-    there.  The sweeps add up the Neumann series c + B^T c + (B^T)^2 c +
-    ..., which converges because B(xi) has spectral radius below one, until
-    a sweep changes no bit: the swept y then satisfies y = c + B(xi)^T y to
-    rounding, as the LU solution does.  A singular block has no such fixed
-    point unless its right-hand side is zero, so it reaches the LU and raises.
+    side of pattern u.  The pattern's |J| and k alone choose its path, never
+    the rest of the batch: the sweeps (``_sweep_solve``), then the stacked
+    LU (``_factor_solve``) if it still moves after _SWEEP_CAP sweeps, or the
+    LU at once (see the module docstring).  A singular block raises
+    SensitivityError naming its pattern and live firms.
     """
     live = _live(net, solvent)
     size = live.sum(axis=1)

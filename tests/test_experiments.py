@@ -2,6 +2,8 @@
 
 import json
 import re
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -519,6 +521,22 @@ def test_er_sweep_progress_reports_elapsed_and_eta(tmp_path, capsys):
     pattern = rf"er-sweep: k_mean=\S+ w_d=\S+ done \((\d)/4 rows, elapsed {clock}, ETA {clock}\)"
     assert [int(re.fullmatch(pattern, line).group(1)) for line in lines] == [1, 2, 3, 4]
     assert lines[-1].endswith("ETA 0:00:00)")
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--networks", "0"], "networks must be at least 1"),
+    (["--networks", "-1"], "networks must be at least 1"),
+    (["--threads", "0"], "threads must be at least 1"),
+], ids=["networks0", "networks-1", "threads0"])
+def test_paper_sweep_eta_rejects_bad_counts_as_usage_errors(flags, message):
+    # the config is checked before the ETA's scale is computed and before
+    # any Monte Carlo runs, and the error is argparse's, with exit code 2
+    script = CONFIGS.parent / "scripts" / "paper_sweep_eta.py"
+    proc = subprocess.run([sys.executable, str(script), *flags], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 2
+    assert message in proc.stderr and "Traceback" not in proc.stderr
+    assert proc.stdout == ""
 
 
 # --- price / greeks / local-compare ----------------------------------------------

@@ -159,9 +159,9 @@ def test_pathwise_greeks_match_common_random_number_differences_in_both_kernel_p
     # the n = 2 case above factors every pattern.  Every firm of the 12-firm
     # equity network is live, so its patterns go to the sensitivity sweeps
     # with the two block-average portfolios and to the stacked LU with
-    # dx*/da's 24 rows; the n = 60 debt network's go to both, by |J|.  The
-    # n = 60 Greek run prices its certified draws through dx*/da, and rho
-    # and theta carry -tau x and r x, so they check that price too
+    # dx*/da's 24 rows; the n = 60 debt network's go to both, by |J|.  A
+    # Greek run prices every draw through dx*/da, and rho and theta carry
+    # -tau x and r x, so they check that price too
     n = net.n
     weights = np.kron(np.eye(2), np.full((1, n), 1.0 / n)) if block_average else np.eye(2 * n)
     gbm = GbmParams(a_t=np.ones(n), sigma=np.full(n, 0.4), r=0.03, tau=1.0, corr=np.eye(n))
@@ -179,12 +179,22 @@ def test_pathwise_greeks_match_common_random_number_differences_in_both_kernel_p
         assert np.abs(fd - greek).max() <= gate * np.abs(greek).max(), field
 
 
-def test_greek_price_through_dxda_matches_the_solved_claims_at_n60(monkeypatch):
-    # an er-sweep cell at r = 0.03: every chunk of the Greek run certifies its
-    # draws and prices them by one contraction of W dx*/da; the price-only
-    # run prices Picard's claims at tol
+@pytest.mark.parametrize("debt_held_in_full,share", [(False, 1.0), (True, 0.0)],
+                         ids=["certified", "column_sum_one"])
+def test_greek_price_through_dxda_matches_the_solved_claims_at_n60(monkeypatch,
+                                                                   debt_held_in_full, share):
+    # an er-sweep cell at r = 0.03: the Greek run prices every draw by one
+    # contraction of W dx*/da, the price-only run prices Picard's claims at
+    # tol.  As is, every chunk certifies all its draws; with firm 0's debt
+    # held in full by firm 1 (scripts/output_digests.py's fallback network),
+    # a column sum of one voids the certificate and Picard runs to tol
     n = 60
     net = ng.er_network(n, 3.0, 0.4, seed=2)
+    if debt_held_in_full:
+        m_d = net.m_d.copy()
+        m_d[:, 0] = 0.0
+        m_d[1, 0] = 1.0
+        net = ng.FirmNetwork(m_s=net.m_s, m_d=m_d, d=net.d)
     weights = np.kron(np.eye(2), np.full((1, n), 1.0 / n))
     gbm = GbmParams(a_t=np.ones(n), sigma=np.full(n, 0.4), r=0.03, tau=1.0, corr=np.eye(n))
     certified = []
@@ -196,7 +206,7 @@ def test_greek_price_through_dxda_matches_the_solved_claims_at_n60(monkeypatch):
 
     monkeypatch.setattr(mc, "solve_claims_batch", spy)
     rep = mc_greeks(net, gbm, 2000, 9, weights=weights)
-    assert len(certified) == 4 and min(certified) == 1.0
+    assert certified == [share] * 4
     monkeypatch.undo()
     want = weights @ price_claims(net, gbm, 2000, 9).price
     np.testing.assert_allclose(rep.price, want, rtol=1e-12, atol=0.0)
